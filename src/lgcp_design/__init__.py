@@ -17,7 +17,6 @@ from .domain import (
 )
 from .kernels import CovStructure, KernelSpec, MeanFunction, cov_matrix, matern32, mean_eval, sqexp
 from .gp_gaussian import (
-    GaussianModel,
     GaussianPosterior,
     fit_gaussian,
     kl_gaussian_closed_form,
@@ -33,10 +32,8 @@ from .lgcp import (
     Poisson,
     fit_lgcp,
     intensity_moments,
-    kl_intensity,
     kl_lemma1,
     laplace_predict,
-    map_estimate,
     sample_counts,
     woodbury_direct,
     woodbury_stable,
@@ -48,7 +45,6 @@ from .designs import (
     default_delta,
     fibonacci_lattice_3d,
     halton,
-    inclusion_probability,
     inhibitory_close_pairs,
     load_design,
     min_dist_discrete,

@@ -158,6 +158,12 @@ def generate_design(name, n, domain, seed, grid=None, delta=None, k=None,
     raise LgcpDesignError(f"unknown generator {name!r}")
 
 
+def _estimate(criterion, model, design, grid, M, seed) -> ev.UtilityEstimate:
+    if criterion == "kl":
+        return ev.expected_kl(model, design, M, seed)
+    return ev.expected_apv(model, design, grid, M, seed, target=criterion.removeprefix("apv_"))
+
+
 # ----------------------------------------------------------------------
 # simstudy
 
@@ -243,13 +249,7 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
         out = []
         for criterion in criteria:
             try:
-                if criterion == "kl":
-                    est = ev.expected_kl(model, design, M, eval_seed)
-                else:
-                    est = ev.expected_apv(
-                        model, design, grid, M, eval_seed,
-                        target=criterion.removeprefix("apv_"),
-                    )
+                est = _estimate(criterion, model, design, grid, M, eval_seed)
                 out.append((criterion, est.value, est.std_error, est.M, ""))
             except NumericalError as exc:
                 out.append((criterion, float("nan"), float("nan"), 0, str(exc)))
@@ -413,13 +413,7 @@ def _cmd_evaluate(args) -> int:
     criteria = args.criterion or ["apv_intensity"]
     rows = []
     for criterion in criteria:
-        if criterion == "kl":
-            est = ev.expected_kl(model, design, args.M, args.seed)
-        else:
-            est = ev.expected_apv(
-                model, design, grid, args.M, args.seed,
-                target=criterion.removeprefix("apv_"),
-            )
+        est = _estimate(criterion, model, design, grid, args.M, args.seed)
         rows.append(
             {
                 "design_name": design.provenance.get("generator", "design"),

@@ -31,7 +31,6 @@ __all__ = [
     "coffee_house",
     "rejection_wrap",
     "space_fill_rejection",
-    "inclusion_probability",
     "default_delta",
     "save_design",
     "load_design",
@@ -409,11 +408,6 @@ class InclusionProbability:
         if np.asarray(points).ndim == 1:
             return out[0]
         return out
-
-
-def inclusion_probability(point, incl: InclusionProbability):
-    """Inclusion probability of a single point (or array of points)."""
-    return incl.at(point)
 
 
 # ----------------------------------------------------------------------

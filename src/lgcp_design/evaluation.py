@@ -15,7 +15,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from . import gp_gaussian, lgcp
 from .exceptions import LgcpDesignError, NumericalError
 from .gp_gaussian import prior_marginal_var
-from .lgcp import GaussianObs, Model
+from .lgcp import GaussianObs
 
 __all__ = [
     "UtilityEstimate",
@@ -51,12 +51,8 @@ def _summarize(criterion, replicates, provenance) -> UtilityEstimate:
     return UtilityEstimate(criterion, float(np.mean(reps)), se, M, reps, dict(provenance))
 
 
-def _rep_seed(root_seed, replicate, stage):
-    return np.random.SeedSequence(root_seed, spawn_key=(replicate, stage))
-
-
 def _is_gaussian(model) -> bool:
-    return isinstance(getattr(model, "obs", None), GaussianObs)
+    return isinstance(model.obs, GaussianObs)
 
 
 def _fit(model, points, y):
@@ -65,10 +61,10 @@ def _fit(model, points, y):
     return lgcp.fit_lgcp(model, points, y)
 
 
-def _predict(post, query):
+def _predict(post, query, want="marginal"):
     if isinstance(post, gp_gaussian.GaussianPosterior):
-        return gp_gaussian.predict(post, query, want="marginal")
-    return lgcp.laplace_predict(post, query, want="marginal")
+        return gp_gaussian.predict(post, query, want=want)
+    return lgcp.laplace_predict(post, query, want=want)
 
 
 def _apv_value(mean, var, target) -> float:
@@ -86,6 +82,60 @@ def _prior_apv(model, grid, target) -> float:
     return _apv_value(mean, var, target)
 
 
+def _points(design):
+    return design.points if hasattr(design, "points") else np.asarray(design)
+
+
+def _criteria_values(model, points, y, criteria, grid) -> list[float]:
+    """Every criterion of one data replicate, from at most one fit."""
+    gaussian = _is_gaussian(model)
+    apv = any(c != "kl" for c in criteria)
+    # the Gaussian KL has a closed form that needs no fit
+    post = _fit(model, points, y) if apv or not gaussian else None
+    if apv:
+        mean, var = _predict(post, grid.cells)
+    values = []
+    for c in criteria:
+        if c != "kl":
+            values.append(_apv_value(mean, var, c.removeprefix("apv_")))
+        elif gaussian:
+            values.append(gp_gaussian.kl_gaussian_closed_form(model, points, y))
+        else:
+            values.append(lgcp.kl_lemma1(post))
+    return values
+
+
+def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
+    """Monte Carlo replicates of several criteria on several point sets.
+
+    Replicate j draws one latent field on the union of the sets from
+    SeedSequence(seed, spawn_key=(j, 0)), counts for set d from
+    spawn_key=count_key(j, d), and fits each set once. Returns an array of
+    shape (sets, criteria, M), NaN where a (set, replicate) cell failed, and
+    the number of failed cells; a cell fills all its criteria or none.
+    """
+    bounds = np.cumsum([0] + [pts.shape[0] for pts in point_sets])
+    union = np.vstack(point_sets)
+    out = np.full((len(point_sets), len(criteria), M), np.nan)
+    failures = 0
+    for j in range(M):
+        try:
+            draw_seed = np.random.SeedSequence(seed, spawn_key=(j, 0))
+            f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed)[0]
+        except NumericalError:
+            failures += len(point_sets)
+            continue
+        for d, pts in enumerate(point_sets):
+            f = f_union[bounds[d]:bounds[d + 1]]
+            counts_seed = np.random.SeedSequence(seed, spawn_key=count_key(j, d))
+            y = np.asarray(lgcp.sample_counts(model, f, counts_seed), dtype=float)
+            try:
+                out[d, :, j] = _criteria_values(model, pts, y, criteria, grid)
+            except NumericalError:
+                failures += 1
+    return out, failures
+
+
 def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") -> UtilityEstimate:
     """Expected APV loss of a design over prior-predictive data replicates.
 
@@ -98,33 +148,20 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
         raise LgcpDesignError("M must be >= 2")
     criterion = f"apv_{target}"
     provenance = getattr(design, "provenance", {})
-    points = design.points if hasattr(design, "points") else np.asarray(design)
+    points = _points(design)
     if points.shape[0] == 0:
         value = _prior_apv(model, grid, target)
         return _summarize(criterion, np.full(M, value), provenance)
-    if _is_gaussian(model):
-        y0 = model.mean_at(points)
-        post = _fit(model, points, y0)
+    # intensity variance depends on the posterior mean, which does vary with
+    # the data, so only the latent target has a Gaussian shortcut
+    if _is_gaussian(model) and target == "latent":
+        post = _fit(model, points, model.mean_at(points))
         mean, var = _predict(post, grid.cells)
-        if target == "intensity":
-            # intensity variance depends on the posterior mean, which does vary
-            # with the data; fall through to the Monte Carlo path
-            pass
-        else:
-            value = _apv_value(mean, var, target)
-            return _summarize(criterion, np.full(M, value), provenance)
-    reps, failures = [], 0
-    for j in range(M):
-        try:
-            f = gp_gaussian.sample_prior(model, points, 1, _rep_seed(seed, j, 0))[0]
-            y = lgcp.sample_counts(model, f, _rep_seed(seed, j, 1))
-            post = _fit(model, points, np.asarray(y, dtype=float))
-            mean, var = _predict(post, grid.cells)
-            reps.append(_apv_value(mean, var, target))
-        except NumericalError:
-            failures += 1
-            reps.append(np.nan)
-    return _finalize(criterion, reps, failures, M, provenance)
+        return _summarize(criterion, np.full(M, _apv_value(mean, var, target)), provenance)
+    reps, failures = _replicates(
+        model, [points], [criterion], grid, M, seed, lambda j, d: (j, 1)
+    )
+    return _finalize(criterion, reps[0, 0], failures, M, provenance)
 
 
 def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
@@ -132,25 +169,11 @@ def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
     if M < 2:
         raise LgcpDesignError("M must be >= 2")
     provenance = getattr(design, "provenance", {})
-    points = design.points if hasattr(design, "points") else np.asarray(design)
+    points = _points(design)
     if points.shape[0] == 0:
         return _summarize("kl", np.zeros(M), provenance)
-    reps, failures = [], 0
-    for j in range(M):
-        try:
-            f = gp_gaussian.sample_prior(model, points, 1, _rep_seed(seed, j, 0))[0]
-            y = lgcp.sample_counts(model, f, _rep_seed(seed, j, 1))
-            reps.append(_kl_one(model, points, np.asarray(y, dtype=float)))
-        except NumericalError:
-            failures += 1
-            reps.append(np.nan)
-    return _finalize("kl", reps, failures, M, provenance)
-
-
-def _kl_one(model, points, y) -> float:
-    if _is_gaussian(model):
-        return gp_gaussian.kl_gaussian_closed_form(model, points, y)
-    return lgcp.kl_lemma1(lgcp.fit_lgcp(model, points, y))
+    reps, failures = _replicates(model, [points], ["kl"], None, M, seed, lambda j, d: (j, 1))
+    return _finalize("kl", reps[0, 0], failures, M, provenance)
 
 
 def _finalize(criterion, reps, failures, M, provenance) -> UtilityEstimate:
@@ -158,7 +181,6 @@ def _finalize(criterion, reps, failures, M, provenance) -> UtilityEstimate:
         raise NumericalError(
             f"{failures} of {M} replicates failed to converge"
         )
-    reps = np.asarray(reps, dtype=float)
     if failures:
         reps = reps[np.isfinite(reps)]
     return _summarize(criterion, reps, provenance)
@@ -182,17 +204,17 @@ class ConditionedModel:
         self.obs = base_model.obs
 
     def mean_at(self, points):
-        mean, _ = _predict_full_capable(self.posterior, points, want="mean")
+        mean, _ = _predict(self.posterior, points)
         return mean
 
     def cov_at(self, a, b=None):
         if b is None:
-            _, cov = _predict_full_capable(self.posterior, a, want="full")
+            _, cov = _predict(self.posterior, a, want="full")
             return cov
         return _cross_cov(self.posterior, a, b)
 
     def var_at(self, points):
-        _, var = _predict_full_capable(self.posterior, points, want="marginal")
+        _, var = _predict(self.posterior, points)
         return var
 
     @property
@@ -202,16 +224,6 @@ class ConditionedModel:
     @property
     def noise_variance(self):
         return self.base_model.noise_variance
-
-
-def _predict_full_capable(post, points, want):
-    if isinstance(post, gp_gaussian.GaussianPosterior):
-        fn = gp_gaussian.predict
-    else:
-        fn = lgcp.laplace_predict
-    if want == "mean":
-        return fn(post, points, want="marginal")
-    return fn(post, points, want=want)
 
 
 def _cross_cov(post, a, b):
@@ -258,7 +270,9 @@ def compare_designs(
     drawn on the union of all design points so that paired comparisons share
     their randomness; counts are then drawn per design. ``base_of`` maps a
     design name to the name of its base variant; for those rows the percent
-    reduction relative to the base is reported.
+    reduction relative to the base is reported. A name in ``base_of`` that is
+    not in ``designs`` raises LgcpDesignError before any replicate runs. A
+    failed fit drops that replicate from every criterion of its design.
 
     Returns a list of row dicts with keys design_name, criterion, estimate,
     std_error, M, reduction_vs_base_pct, replicates.
@@ -267,64 +281,26 @@ def compare_designs(
         if c not in CRITERIA:
             raise LgcpDesignError(f"unknown criterion {c!r}")
     names = list(designs)
-    offsets, all_points = {}, []
-    pos = 0
-    for name in names:
-        pts = designs[name].points
-        offsets[name] = (pos, pos + pts.shape[0])
-        all_points.append(pts)
-        pos += pts.shape[0]
-    union = np.vstack(all_points)
-
-    per_design: dict[str, dict[str, list[float]]] = {
-        name: {c: [] for c in criteria} for name in names
-    }
-    failures = 0
-    gaussian = _is_gaussian(model)
-    for j in range(M):
-        f_union = gp_gaussian.sample_prior(model, union, 1, _rep_seed(seed, j, 0))[0]
-        for d_idx, name in enumerate(names):
-            lo, hi = offsets[name]
-            pts = designs[name].points
-            f = f_union[lo:hi]
-            y = lgcp.sample_counts(
-                model, f, np.random.SeedSequence(seed, spawn_key=(j, 1, d_idx))
-            )
-            try:
-                needs_fit = any(c.startswith("apv") for c in criteria)
-                post = _fit(model, pts, np.asarray(y, dtype=float)) if needs_fit else None
-                for c in criteria:
-                    if c == "kl":
-                        if gaussian:
-                            val = gp_gaussian.kl_gaussian_closed_form(
-                                model, pts, np.asarray(y, dtype=float)
-                            )
-                        elif post is not None:
-                            val = lgcp.kl_lemma1(post)
-                        else:
-                            val = _kl_one(model, pts, np.asarray(y, dtype=float))
-                    else:
-                        mean, var = _predict(post, grid.cells)
-                        val = _apv_value(mean, var, c.removeprefix("apv_"))
-                    per_design[name][c].append(val)
-            except NumericalError:
-                failures += 1
-                for c in criteria:
-                    per_design[name][c].append(np.nan)
+    base_of = base_of or {}
+    for name, base in base_of.items():
+        if name not in designs or base not in designs:
+            raise LgcpDesignError(f"base_of names unknown design: {name!r} -> {base!r}")
+    reps, failures = _replicates(
+        model, [designs[name].points for name in names], criteria, grid, M, seed,
+        lambda j, d: (j, 1, d),
+    )
     if failures > REPLICATE_FAIL_FRACTION * M * len(names):
         raise NumericalError(f"{failures} replicate fits failed across designs")
 
     rows = []
-    for name in names:
-        for c in criteria:
-            reps = np.asarray(per_design[name][c], dtype=float)
-            est = _summarize(c, reps[np.isfinite(reps)], designs[name].provenance)
+    for d, name in enumerate(names):
+        for k, c in enumerate(criteria):
             # rows keep the aligned (NaN-padded) replicates so paired
             # comparisons across designs stay replicate-matched
+            est = _summarize(c, reps[d, k][np.isfinite(reps[d, k])], designs[name].provenance)
             reduction = ""
-            if base_of and name in base_of:
-                base_reps = np.asarray(per_design[base_of[name]][c], dtype=float)
-                base_mean = float(np.nanmean(base_reps))
+            if name in base_of:
+                base_mean = float(np.nanmean(reps[names.index(base_of[name]), k]))
                 if base_mean != 0.0:
                     reduction = 100.0 * (base_mean - est.value) / base_mean
             rows.append(
@@ -335,7 +311,7 @@ def compare_designs(
                     "std_error": est.std_error,
                     "M": est.M,
                     "reduction_vs_base_pct": reduction,
-                    "replicates": reps,
+                    "replicates": reps[d, k],
                 }
             )
     return rows

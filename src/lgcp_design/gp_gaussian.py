@@ -1,4 +1,5 @@
-"""Exact Gaussian-process inference under a Gaussian observation model.
+"""Exact Gaussian-process inference under a Gaussian observation model,
+``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
 
 All solves go through Cholesky factorizations; explicit inverses are never
 formed. Negative predicted variances arising from cancellation are clamped
@@ -14,10 +15,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import LgcpDesignError, NumericalError
-from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
+# cov_matrix is unused here but stays a module attribute: the perfbench
+# tracer test checks that it is wrapped in every module that imports it
+from .kernels import JITTER_SCALE, CovStructure, cov_matrix  # noqa: F401
 
 __all__ = [
-    "GaussianModel",
     "GaussianPosterior",
     "fit_gaussian",
     "predict",
@@ -27,29 +29,6 @@ __all__ = [
 ]
 
 CLAMP_FAIL_FRACTION = 1e-3
-
-
-@dataclass(frozen=True)
-class GaussianModel:
-    """GP prior plus Gaussian observation noise y_i | f_i ~ N(f_i, sigma^2)."""
-
-    mean: MeanFunction
-    cov: CovStructure
-    noise_variance: float
-
-    def __post_init__(self):
-        if self.noise_variance <= 0:
-            raise LgcpDesignError("noise_variance must be positive")
-
-    def mean_at(self, points) -> np.ndarray:
-        return np.atleast_1d(mean_eval(points, self.mean))
-
-    def cov_at(self, a, b=None) -> np.ndarray:
-        return cov_matrix(a, a if b is None else b, self.cov)
-
-    @property
-    def jitter(self) -> float:
-        return JITTER_SCALE * self.cov.total_variance
 
 
 def _chol(mat: np.ndarray, jitter: float):
@@ -75,7 +54,7 @@ def _clamp_variances(var: np.ndarray) -> np.ndarray:
 class GaussianPosterior:
     """Fitted exact GP posterior; immutable and safe for concurrent queries."""
 
-    model: GaussianModel
+    model: object
     train_points: np.ndarray
     y: np.ndarray
     alpha: np.ndarray = field(repr=False)  # (K + sigma^2 I)^-1 (y - mu)

@@ -25,11 +25,9 @@ __all__ = [
     "GaussianObs",
     "Model",
     "LatentPosterior",
-    "map_estimate",
     "fit_lgcp",
     "laplace_predict",
     "kl_lemma1",
-    "kl_intensity",
     "intensity_moments",
     "sample_counts",
     "woodbury_direct",
@@ -273,12 +271,6 @@ def fit_lgcp(model, design_points, y) -> LatentPosterior:
     )
 
 
-def map_estimate(model, design_points, y):
-    """MAP latent vector, negative-Hessian diagonal, and Laplace log evidence."""
-    post = fit_lgcp(model, design_points, y)
-    return post.f_hat, post.W, post.log_marginal
-
-
 def laplace_predict(post: LatentPosterior, query, want: str = "marginal"):
     """Laplace posterior predictive mean and (co)variance at query points."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
@@ -332,11 +324,6 @@ def kl_lemma1(post: LatentPosterior, nodes: int = GH_NODES) -> float:
     if kl < -1e-3 * max(1.0, abs(post.log_marginal)):
         raise NumericalError(f"Lemma-1 KL came out negative: {kl}")
     return max(kl, 0.0)
-
-
-def kl_intensity(post: LatentPosterior, nodes: int = GH_NODES) -> float:
-    """KL divergence for the intensity process; equals the latent-process KL."""
-    return kl_lemma1(post, nodes)
 
 
 def intensity_moments(latent_mean, latent_var):

@@ -119,13 +119,12 @@ def test_criterion_02_lemma1_exact_for_gaussian(capsys):
         )
         s2n = float(rng.uniform(0.5, 2.0))
         mean = ld.MeanFunction.constant(float(rng.normal()))
-        lap_model = ld.Model(mean, cov, ld.GaussianObs(s2n))
-        exact_model = ld.GaussianModel(mean, cov, s2n)
+        model = ld.Model(mean, cov, ld.GaussianObs(s2n))
         n = int(rng.integers(2, 10))
         X = _separated_points(rng, n, 0.25)
-        y = exact_model.mean_at(X) + rng.normal(size=n)
-        kl_quad = ld.kl_lemma1(ld.fit_lgcp(lap_model, X, y))
-        kl_closed = ld.kl_gaussian_closed_form(exact_model, X, y)
+        y = model.mean_at(X) + rng.normal(size=n)
+        kl_quad = ld.kl_lemma1(ld.fit_lgcp(model, X, y))
+        kl_closed = ld.kl_gaussian_closed_form(model, X, y)
         worst = max(worst, abs(kl_quad - kl_closed) / max(abs(kl_closed), 1e-12))
     _report(
         capsys, 2,

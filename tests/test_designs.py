@@ -15,7 +15,6 @@ from lgcp_design import (
     discretize,
     fibonacci_lattice_3d,
     halton,
-    inclusion_probability,
     inhibitory_close_pairs,
     is_admissible,
     load_design,
@@ -255,7 +254,7 @@ class TestInclusionProbability:
     def test_single_point_query(self, poisson_model_fixture):
         grid = discretize(unit_cube(), (4, 4, 4))
         incl = InclusionProbability.build("scaled_latent_mean", poisson_model_fixture, grid)
-        v = inclusion_probability(grid.cells[3], incl)
+        v = incl.at(grid.cells[3])
         assert np.isscalar(v) or np.ndim(v) == 0
 
 

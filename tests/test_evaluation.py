@@ -4,6 +4,7 @@ import pytest
 import lgcp_design.evaluation as ev
 from lgcp_design import (
     GaussianObs,
+    LgcpDesignError,
     MeanFunction,
     Model,
     NumericalError,
@@ -15,8 +16,12 @@ from lgcp_design import (
     expected_kl,
     fit_lgcp,
     halton,
+    intensity_moments,
+    kl_lemma1,
     laplace_predict,
     random_design,
+    sample_counts,
+    sample_prior,
     unit_cube,
     write_comparison_csv,
 )
@@ -212,12 +217,86 @@ class TestCompareDesigns:
         # same points, same latent draws; only count draws differ
         assert abs(red) < 15.0
 
+    def test_failed_criterion_fails_whole_cell(self, pois_model, grid, monkeypatch):
+        # the 3rd KL call is design a's in replicate 1; its apv value for that
+        # replicate, computed first, must be dropped with it
+        real = ev.lgcp.kl_lemma1
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] == 3:
+                raise NumericalError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "kl_lemma1", flaky)
+        designs = {"a": halton(10), "b": random_design(10, seed=2)}
+        rows = compare_designs(pois_model, designs, ["apv_latent", "kl"], grid, 20, seed=0)
+        for r in rows:
+            assert len(r["replicates"]) == 20
+            assert r["M"] == (19 if r["design_name"] == "a" else 20)
+        a_reps = [r["replicates"] for r in rows if r["design_name"] == "a"]
+        assert all(np.isnan(reps[1]) for reps in a_reps)
+
+    def test_unknown_base_rejected_before_replicates(self, pois_model, grid, monkeypatch):
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(ev.gp_gaussian, "sample_prior", no_replicates)
+        with pytest.raises(LgcpDesignError, match="base_of"):
+            compare_designs(
+                pois_model, {"a": halton(5)}, ["kl"], grid, 4, base_of={"a": "typo"}
+            )
+
     def test_deterministic(self, pois_model, grid):
         designs = {"a": halton(10), "b": random_design(10, seed=1)}
         r1 = compare_designs(pois_model, designs, ["kl"], grid, 6, seed=3)
         r2 = compare_designs(pois_model, designs, ["kl"], grid, 6, seed=3)
         assert r1[0]["estimate"] == r2[0]["estimate"]
         assert r1[1]["estimate"] == r2[1]["estimate"]
+
+
+class TestSeedScheme:
+    """Replicates match a hand-written loop over the public primitives."""
+
+    def test_expected_replicates(self, pois_model, grid):
+        design = halton(12)
+        apv = expected_apv(pois_model, design, grid, 4, seed=9, target="intensity")
+        kl = expected_kl(pois_model, design, 4, seed=9)
+        for j in range(4):
+            draw_seed = np.random.SeedSequence(9, spawn_key=(j, 0))
+            f = sample_prior(pois_model, design.points, 1, draw_seed)[0]
+            counts_seed = np.random.SeedSequence(9, spawn_key=(j, 1))
+            y = sample_counts(pois_model, f, counts_seed).astype(float)
+            post = fit_lgcp(pois_model, design.points, y)
+            _, ivar = intensity_moments(*laplace_predict(post, grid.cells))
+            assert apv.replicates[j] == float(np.mean(ivar))
+            assert kl.replicates[j] == kl_lemma1(post)
+
+    def test_compare_replicates(self, pois_model, grid):
+        designs = {"a": halton(8), "b": random_design(6, seed=1)}
+        rows = compare_designs(pois_model, designs, ["apv_latent", "kl"], grid, 10, seed=5)
+        got = {(r["design_name"], r["criterion"]): r["replicates"] for r in rows}
+        union = np.vstack([d.points for d in designs.values()])
+        for j in range(10):
+            draw_seed = np.random.SeedSequence(5, spawn_key=(j, 0))
+            f_union = sample_prior(pois_model, union, 1, draw_seed)[0]
+            lo = 0
+            for d, (name, design) in enumerate(designs.items()):
+                f = f_union[lo:lo + design.n]
+                lo += design.n
+                counts_seed = np.random.SeedSequence(5, spawn_key=(j, 1, d))
+                y = sample_counts(pois_model, f, counts_seed).astype(float)
+                try:
+                    post = fit_lgcp(pois_model, design.points, y)
+                except NumericalError:
+                    # b's fit in replicate 0 does not converge (counts near 1e4)
+                    assert np.isnan(got[(name, "apv_latent")][j])
+                    assert np.isnan(got[(name, "kl")][j])
+                    continue
+                _, var = laplace_predict(post, grid.cells)
+                assert got[(name, "apv_latent")][j] == float(np.mean(var))
+                assert got[(name, "kl")][j] == kl_lemma1(post)
 
 
 class TestComparisonCsv:

@@ -3,8 +3,9 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from lgcp_design import (
-    GaussianModel,
+    GaussianObs,
     MeanFunction,
+    Model,
     fit_gaussian,
     kl_gaussian_closed_form,
     point,
@@ -29,7 +30,7 @@ def gaussian_kl_oracle(mu0, K0, mu1, K1):
 
 @pytest.fixture
 def model(additive_cov, concave_mean):
-    return GaussianModel(concave_mean, additive_cov, 1.0)
+    return Model(concave_mean, additive_cov, GaussianObs(1.0))
 
 
 class TestScalarPosterior:
@@ -64,7 +65,7 @@ class TestKlAgainstGenericOracle:
         rng = np.random.default_rng(200 + trial)
         cov = random_cov(rng)
         s2n = float(rng.uniform(0.1, 2.0))
-        model = GaussianModel(MeanFunction.constant(float(rng.normal())), cov, s2n)
+        model = Model(MeanFunction.constant(float(rng.normal())), cov, GaussianObs(s2n))
         n = int(rng.integers(2, 12))
         X = rng.random((n, 3))
         y = rng.normal(size=n) * 2.0
@@ -112,7 +113,7 @@ class TestPredict:
         assert np.allclose(np.diag(cov), var, atol=1e-8)
 
     def test_interpolates_training_data_at_low_noise(self, additive_cov, concave_mean):
-        model = GaussianModel(concave_mean, additive_cov, 1e-8)
+        model = Model(concave_mean, additive_cov, GaussianObs(1e-8))
         rng = np.random.default_rng(8)
         X = rng.random((5, 3))
         y = rng.normal(size=5)
@@ -162,7 +163,7 @@ class TestKlEdgeCases:
         rng = np.random.default_rng(13)
         for trial in range(20):
             cov = random_cov(rng)
-            model = GaussianModel(MeanFunction.constant(0.0), cov, float(rng.uniform(0.2, 2)))
+            model = Model(MeanFunction.constant(0.0), cov, GaussianObs(float(rng.uniform(0.2, 2))))
             n = int(rng.integers(1, 8))
             X = rng.random((n, 3))
             y = rng.normal(size=n)
