@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.stats import qmc
 
 from .domain import Domain, from_unit_cube, is_admissible, to_unit_cube, unit_cube
 from .exceptions import DegenerateFieldError, InfeasibleDesignError, LgcpDesignError
-from .gp_gaussian import prior_marginal_var
+from .evaluation import _moments_at
 
 __all__ = [
     "Design",
@@ -352,8 +353,7 @@ class InclusionProbability:
     """
 
     variant: str
-    mean_fn: object = None
-    var_fn: object = None
+    moments_fn: object = None  # points -> (latent mean, marginal variance)
     p_max: float | None = None
     lo: float = 0.0
     normalizer: float = 1.0
@@ -363,26 +363,25 @@ class InclusionProbability:
         """Construct from a model's mean/variance fields, normalized over a grid.
 
         ``model`` is anything exposing mean_at/cov_at (a prior model or a
-        posterior-conditioned one).
+        posterior-conditioned one). Mean and variance come from one
+        prediction per call.
         """
-        mean_fn = model.mean_at
-        var_fn = lambda pts: prior_marginal_var(model, pts)  # noqa: E731
-        mu = np.asarray(mean_fn(grid.cells), dtype=float)
+        moments_fn = partial(_moments_at, model)
+        mu, s2 = moments_fn(grid.cells)
         if variant == "scaled_latent_mean":
             lo, hi = float(np.min(mu)), float(np.max(mu))
             if hi == lo:
                 raise DegenerateFieldError(
                     "latent mean is constant over the grid; min-max scaling undefined"
                 )
-            return cls(variant, mean_fn, var_fn, None, lo, hi - lo)
+            return cls(variant, moments_fn, None, lo, hi - lo)
         if variant in ("expected_intensity", "truncated_expected_intensity"):
-            v = np.exp(mu + 2.0 * np.asarray(var_fn(grid.cells), dtype=float))
-            normalizer = float(np.max(v))
+            normalizer = float(np.max(np.exp(mu + 2.0 * s2)))
             if variant == "expected_intensity":
-                return cls(variant, mean_fn, var_fn, None, 0.0, normalizer)
+                return cls(variant, moments_fn, None, 0.0, normalizer)
             if p_max is None or not 0.0 < p_max <= 1.0:
                 raise LgcpDesignError("truncated variant needs p_max in (0, 1]")
-            return cls(variant, mean_fn, var_fn, float(p_max), 0.0, normalizer)
+            return cls(variant, moments_fn, float(p_max), 0.0, normalizer)
         raise LgcpDesignError(f"unknown inclusion-probability variant {variant!r}")
 
     @classmethod
@@ -395,16 +394,15 @@ class InclusionProbability:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.variant == "constant":
             out = np.full(pts.shape[0], self.p_max)
-        elif self.variant == "scaled_latent_mean":
-            mu = np.asarray(self.mean_fn(pts), dtype=float)
-            out = np.clip((mu - self.lo) / self.normalizer, 0.0, 1.0)
         else:
-            mu = np.asarray(self.mean_fn(pts), dtype=float)
-            s2 = np.asarray(self.var_fn(pts), dtype=float)
-            v = np.exp(mu + 2.0 * s2)
-            if self.variant == "truncated_expected_intensity":
-                v = np.minimum(self.p_max, v)
-            out = np.clip(v / self.normalizer, 0.0, 1.0)
+            mu, s2 = self.moments_fn(pts)
+            if self.variant == "scaled_latent_mean":
+                out = np.clip((mu - self.lo) / self.normalizer, 0.0, 1.0)
+            else:
+                v = np.exp(mu + 2.0 * s2)
+                if self.variant == "truncated_expected_intensity":
+                    v = np.minimum(self.p_max, v)
+                out = np.clip(v / self.normalizer, 0.0, 1.0)
         if np.asarray(points).ndim == 1:
             return out[0]
         return out
@@ -412,6 +410,21 @@ class InclusionProbability:
 
 # ----------------------------------------------------------------------
 # rejection thinning
+
+# Proposals per inclusion-probability evaluation in rejection_wrap: one
+# posterior prediction then serves a whole block instead of one proposal.
+_BLOCK = 256
+
+
+def _pull(stream, count):
+    """Up to ``count`` proposals, and the stream error that cut them short."""
+    block = []
+    try:
+        for _ in range(count):
+            block.append(next(stream))
+    except InfeasibleDesignError as exc:
+        return block, exc
+    return block, None
 
 
 def rejection_wrap(
@@ -429,6 +442,9 @@ def rejection_wrap(
     "halton", "sobol", "fibonacci"); each admissible proposal is accepted
     independently with its inclusion probability until n points are kept.
     With p = 1 everywhere, the output equals the plain base design.
+    Probabilities are evaluated for blocks of proposals at a time; the
+    acceptance draws are made one per proposal in stream order, so the
+    result is that of evaluating one proposal at a time.
     """
     domain = domain or unit_cube()
     if max_attempts is None:
@@ -439,25 +455,31 @@ def rejection_wrap(
     accept_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     accepted: list[np.ndarray] = []
     accepted_idx: list[int] = []
-    for j in range(max_attempts):
-        p = next(stream)
-        prob = float(incl.at(p))
-        if accept_rng.random() < prob or prob >= 1.0:
-            accepted.append(p)
-            accepted_idx.append(j)
-            if len(accepted) == n:
-                return Design(
-                    np.array(accepted),
-                    {
-                        "generator": f"{base}+rejection",
-                        "base": base,
-                        "n": n,
-                        "seed": seed,
-                        "offset": offset,
-                        "incl_variant": incl.variant,
-                        "accepted_proposals": accepted_idx,
-                    },
-                )
+    start = 0
+    while start < max_attempts:
+        block, error = _pull(stream, min(_BLOCK, max_attempts - start))
+        probs = incl.at(np.array(block)).tolist() if block else []
+        for k, prob in enumerate(probs):
+            if accept_rng.random() < prob or prob >= 1.0:
+                accepted.append(block[k])
+                accepted_idx.append(start + k)
+                if len(accepted) == n:
+                    return Design(
+                        np.array(accepted),
+                        {
+                            "generator": f"{base}+rejection",
+                            "base": base,
+                            "n": n,
+                            "seed": seed,
+                            "offset": offset,
+                            "incl_variant": incl.variant,
+                            "accepted_proposals": accepted_idx,
+                        },
+                    )
+        # the proposals pulled before a stream failure may complete the design
+        if error is not None:
+            raise error
+        start += len(block)
     raise InfeasibleDesignError(
         f"rejection budget of {max_attempts} proposals exhausted "
         f"({len(accepted)} of {n} accepted)"
@@ -487,13 +509,14 @@ def space_fill_rejection(
     cand_u = to_unit_cube(cand, domain)
     start_u = to_unit_cube(start, domain) if start is not None else np.zeros(3)
     rng = np.random.default_rng(seed)
+    probs = incl.at(cand).tolist()
 
     selected: list[int] = []
     remaining = np.ones(m, dtype=bool)
 
     def try_order(order) -> int | None:
         for idx in order:
-            if rng.random() < float(incl.at(cand[idx])):
+            if rng.random() < probs[idx]:
                 return int(idx)
         return None
 

@@ -226,6 +226,13 @@ class ConditionedModel:
         return self.base_model.noise_variance
 
 
+def _moments_at(model, points):
+    """Latent mean and marginal variance at points, from one prediction."""
+    if isinstance(model, ConditionedModel):
+        return _predict(model.posterior, points)
+    return np.asarray(model.mean_at(points), dtype=float), prior_marginal_var(model, points)
+
+
 def _cross_cov(post, a, b):
     """Posterior cross-covariance between two query sets."""
     model = post.model

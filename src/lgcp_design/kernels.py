@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .exceptions import LgcpDesignError
 
@@ -100,10 +101,8 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spatial and temporal distance matrices between point sets a and b."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    ds = np.sqrt(
-        np.sum((a[:, None, :2] - b[None, :, :2]) ** 2, axis=-1)
-    )
-    dt = np.abs(a[:, None, 2] - b[None, :, 2])
+    ds = cdist(a[:, :2], b[:, :2])
+    dt = cdist(a[:, 2:3], b[:, 2:3], "cityblock")
     return ds, dt
 
 
@@ -151,6 +150,32 @@ class MeanFunction:
         return mean_eval(p, self)
 
 
+def _grid_rows(grid, query: np.ndarray) -> np.ndarray:
+    """Row of grid.cells at each query point; raises for a point off the grid.
+
+    A point maps to its lattice cell by index arithmetic, and the cell to its
+    row through the lattice indices of the grid's own (possibly masked) cells.
+    """
+    res = np.asarray(grid.resolution)
+    dom = grid.domain
+    strides = np.array([1, res[0], res[0] * res[1]])
+
+    def lattice(pts):
+        return np.rint((pts - dom.lo) * res / dom.widths - 0.5)
+
+    row_of = np.full(int(np.prod(res)), -1)
+    row_of[lattice(grid.cells).astype(int) @ strides] = np.arange(grid.N)
+    cell = lattice(query)
+    rows = np.full(query.shape[0], -1)
+    inside = np.all((cell >= 0) & (cell < res), axis=1)
+    rows[inside] = row_of[cell[inside].astype(int) @ strides]
+    hit = rows >= 0
+    hit[hit] = np.all(np.isclose(grid.cells[rows[hit]], query[hit], atol=1e-12), axis=1)
+    if not hit.all():
+        raise LgcpDesignError("tabulated mean queried off its grid")
+    return rows
+
+
 def mean_eval(p, m: MeanFunction):
     """Evaluate the mean function at one point or an (n, 3) array of points."""
     arr = np.atleast_2d(np.asarray(p, dtype=float))
@@ -160,13 +185,7 @@ def mean_eval(p, m: MeanFunction):
         a, b, c = m.params
         out = a - c * (arr[:, 2] - b) ** 2
     elif m.kind == "tabulated":
-        out = np.empty(arr.shape[0])
-        for i, q in enumerate(arr):
-            hit = np.all(np.isclose(m.grid.cells, q, atol=1e-12), axis=1)
-            j = np.nonzero(hit)[0]
-            if j.size == 0:
-                raise LgcpDesignError("tabulated mean queried off its grid")
-            out[i] = m.values[j[0]]
+        out = m.values[_grid_rows(m.grid, arr)]
     else:
         raise LgcpDesignError(f"unknown mean kind {m.kind!r}")
     if np.asarray(p).ndim == 1:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+import lgcp_design.designs as dsg
+import lgcp_design.lgcp as lgcp_mod
 from lgcp_design import (
     Domain,
     InclusionProbability,
@@ -11,6 +13,7 @@ from lgcp_design import (
     Model,
     Poisson,
     coffee_house,
+    condition_on_data,
     default_delta,
     discretize,
     fibonacci_lattice_3d,
@@ -21,6 +24,8 @@ from lgcp_design import (
     min_dist_discrete,
     random_design,
     rejection_wrap,
+    sample_counts,
+    sample_prior,
     save_design,
     simple_inhibitory,
     sobol,
@@ -327,6 +332,159 @@ class TestSpaceFillRejection:
         incl = InclusionProbability.build("scaled_latent_mean", poisson_model_fixture, grid)
         des = space_fill_rejection(30, grid.cells, incl, seed=4)
         assert len(np.unique(des.points, axis=0)) == 30
+
+
+@pytest.fixture
+def conditioned_model(poisson_model_fixture):
+    wave1 = halton(12).points
+    f = sample_prior(poisson_model_fixture, wave1, 1, seed=7)[0]
+    y = sample_counts(poisson_model_fixture, f, seed=8).astype(float)
+    return condition_on_data(poisson_model_fixture, wave1, y)
+
+
+def _per_proposal_rejection(base, incl, n, domain, seed, max_attempts, offset=0):
+    """rejection_wrap evaluated one proposal at a time, as a reference."""
+    stream = dsg._make_stream(base, domain, seed, offset, n)
+    accept_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    points, idx = [], []
+    for j in range(max_attempts):
+        p = next(stream)
+        prob = float(incl.at(p))
+        if accept_rng.random() < prob or prob >= 1.0:
+            points.append(p)
+            idx.append(j)
+            if len(points) == n:
+                return np.array(points), idx
+    raise InfeasibleDesignError(
+        f"rejection budget of {max_attempts} proposals exhausted "
+        f"({len(points)} of {n} accepted)"
+    )
+
+
+def _per_candidate_space_fill(n, cand, incl, seed):
+    """space_fill_rejection evaluated one candidate at a time, as a reference."""
+    cand_u = to_unit_cube(cand, unit_cube())
+    rng = np.random.default_rng(seed)
+
+    def try_order(order):
+        for idx in order:
+            if rng.random() < float(incl.at(cand[idx])):
+                return int(idx)
+        raise InfeasibleDesignError("rejected")
+
+    selected = [try_order(np.argsort(np.sqrt(np.sum(cand_u**2, axis=1)), kind="stable"))]
+    remaining = np.ones(len(cand), dtype=bool)
+    remaining[selected[0]] = False
+    mindist = np.sqrt(np.sum((cand_u - cand_u[selected[0]]) ** 2, axis=1))
+    while len(selected) < n:
+        pool = np.nonzero(remaining)[0]
+        nxt = try_order(pool[np.argsort(-mindist[pool], kind="stable")])
+        selected.append(nxt)
+        remaining[nxt] = False
+        mindist = np.minimum(mindist, np.sqrt(np.sum((cand_u - cand_u[nxt]) ** 2, axis=1)))
+    return cand[selected]
+
+
+def _incl(kind, poisson_model_fixture, conditioned_model):
+    grid = discretize(unit_cube(), (6, 6, 6))
+    model = poisson_model_fixture if kind == "prior" else conditioned_model
+    return InclusionProbability.build("expected_intensity", model, grid)
+
+
+class TestBlockedThinning:
+    """Blocked probability evaluation reproduces the one-proposal-at-a-time loop."""
+
+    @pytest.mark.parametrize("kind", ["prior", "conditioned"])
+    @pytest.mark.parametrize("base", ["random", "halton", "sobol", "fibonacci"])
+    def test_matches_per_proposal_loop(self, base, kind, poisson_model_fixture,
+                                       conditioned_model):
+        incl = _incl(kind, poisson_model_fixture, conditioned_model)
+        dom = masked_domain()
+        # 300 to 600 proposals at this acceptance rate: more than one block
+        des = rejection_wrap(base, incl, 150, domain=dom, seed=5, offset=3)
+        ref_pts, ref_idx = _per_proposal_rejection(base, incl, 150, dom, 5, 150_000, offset=3)
+        assert ref_idx[-1] >= dsg._BLOCK
+        assert np.array_equal(des.points, ref_pts)
+        assert des.provenance["accepted_proposals"] == ref_idx
+
+    @pytest.mark.parametrize("kind", ["prior", "conditioned"])
+    def test_budget_not_a_multiple_of_block(self, kind, poisson_model_fixture,
+                                            conditioned_model):
+        incl = _incl(kind, poisson_model_fixture, conditioned_model)
+        _, ref_idx = _per_proposal_rejection("halton", incl, 90, unit_cube(), 0, 90_000)
+        last = ref_idx[-1] + 1
+        assert last % dsg._BLOCK != 0
+        # the design completes on the last proposal the budget allows
+        des = rejection_wrap("halton", incl, 90, max_attempts=last)
+        assert des.provenance["accepted_proposals"] == ref_idx
+        # one proposal fewer exhausts the budget, with the reference's message
+        with pytest.raises(InfeasibleDesignError) as ref_exc:
+            _per_proposal_rejection("halton", incl, 90, unit_cube(), 0, last - 1)
+        with pytest.raises(InfeasibleDesignError) as exc:
+            rejection_wrap("halton", incl, 90, max_attempts=last - 1)
+        assert str(exc.value) == str(ref_exc.value)
+        assert str(exc.value) == f"rejection budget of {last - 1} proposals exhausted (89 of 90 accepted)"
+
+    def test_stream_failure_inside_a_block(self, monkeypatch):
+        # the mask stream gives up after 3 consecutive misses
+        monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 3)
+        dom = masked_domain()
+        stream = dsg._make_stream("random", dom, 4, 0, 1)
+        available = 0
+        with pytest.raises(InfeasibleDesignError):
+            while True:
+                next(stream)
+                available += 1
+        assert 0 < available < dsg._BLOCK
+        incl = InclusionProbability.constant(1.0)
+        # the proposals before the failure complete a design of their size
+        des = rejection_wrap("random", incl, available, domain=dom, seed=4)
+        assert des.provenance["accepted_proposals"] == list(range(available))
+        with pytest.raises(InfeasibleDesignError, match="consecutive"):
+            rejection_wrap("random", incl, available + 1, domain=dom, seed=4)
+
+    @pytest.mark.parametrize("kind", ["prior", "conditioned"])
+    def test_space_fill_matches_per_candidate_loop(self, kind, poisson_model_fixture,
+                                                   conditioned_model):
+        incl = _incl(kind, poisson_model_fixture, conditioned_model)
+        cand = discretize(unit_cube(), (7, 7, 6)).cells
+        des = space_fill_rejection(40, cand, incl, seed=6)
+        assert np.array_equal(des.points, _per_candidate_space_fill(40, cand, incl, 6))
+
+
+class TestPredictionCount:
+    """One posterior prediction per bulk inclusion-probability evaluation."""
+
+    @pytest.fixture
+    def count_predictions(self, monkeypatch):
+        calls = []
+        original = lgcp_mod.laplace_predict
+
+        def counting(post, query, want="marginal"):
+            calls.append(np.atleast_2d(query).shape[0])
+            return original(post, query, want=want)
+
+        monkeypatch.setattr(lgcp_mod, "laplace_predict", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "variant", ["scaled_latent_mean", "expected_intensity", "truncated_expected_intensity"]
+    )
+    def test_one_prediction_per_call(self, variant, conditioned_model, count_predictions):
+        grid = discretize(unit_cube(), (6, 6, 6))
+        incl = InclusionProbability.build(variant, conditioned_model, grid, p_max=0.5)
+        assert count_predictions == [grid.N]
+        block = halton(dsg._BLOCK).points
+        incl.at(block)
+        assert count_predictions == [grid.N, dsg._BLOCK]
+
+    def test_one_prediction_per_block(self, conditioned_model, count_predictions):
+        grid = discretize(unit_cube(), (6, 6, 6))
+        incl = InclusionProbability.build("expected_intensity", conditioned_model, grid)
+        des = rejection_wrap("halton", incl, 90)
+        proposals = des.provenance["accepted_proposals"][-1] + 1
+        blocks = -(-proposals // dsg._BLOCK)
+        assert count_predictions == [grid.N] + [dsg._BLOCK] * blocks
 
 
 class TestDesignIO:

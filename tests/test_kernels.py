@@ -7,6 +7,7 @@ from lgcp_design import (
     LgcpDesignError,
     MeanFunction,
     cov_matrix,
+    Domain,
     discretize,
     matern32,
     mean_eval,
@@ -171,3 +172,84 @@ class TestMeanFunction:
         grid = discretize(unit_cube(), (2, 2, 2))
         with pytest.raises(LgcpDesignError):
             MeanFunction.tabulated(grid, np.zeros(7))
+
+
+def _broadcast_cov(a, b, cov):
+    """cov_matrix written out with broadcast distances, as a reference."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    ds = np.sqrt(np.sum((a[:, None, :2] - b[None, :, :2]) ** 2, axis=-1))
+    dt = np.abs(a[:, None, 2] - b[None, :, 2])
+    ks, kt = cov.spatial(ds), cov.temporal(dt)
+    return ks * kt if cov.mode == "separable" else ks + kt
+
+
+class TestCovMatrixBitIdentity:
+    def test_matches_broadcast_formula(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            cov = random_cov(rng)
+            a = rng.uniform(-2.0, 5.0, (int(rng.integers(1, 60)), 3))
+            b = rng.uniform(-2.0, 5.0, (int(rng.integers(1, 60)), 3))
+            assert np.array_equal(cov_matrix(a, b, cov), _broadcast_cov(a, b, cov))
+            assert np.array_equal(cov_matrix(a, a, cov), _broadcast_cov(a, a, cov))
+
+    def test_single_row_and_single_point(self, additive_cov, separable_cov):
+        rng = np.random.default_rng(4)
+        b = rng.random((30, 3))
+        for cov in (additive_cov, separable_cov):
+            one_row = rng.random((1, 3))
+            assert np.array_equal(cov_matrix(one_row, b, cov), _broadcast_cov(one_row, b, cov))
+            p = point(0.3, 0.6, 0.9)
+            got = cov_matrix(p, b, cov)
+            assert got.shape == (1, 30)
+            assert np.array_equal(got, _broadcast_cov(p, b, cov))
+            assert np.array_equal(cov_matrix(b, p, cov), _broadcast_cov(b, p, cov))
+            assert np.array_equal(cov_matrix(p, p, cov), _broadcast_cov(p, p, cov))
+
+
+def _tabulated_reference(grid, values, query):
+    """The row-by-row isclose lookup that mean_eval's index arithmetic replaces."""
+    out = np.empty(query.shape[0])
+    for i, q in enumerate(query):
+        hit = np.nonzero(np.all(np.isclose(grid.cells, q, atol=1e-12), axis=1))[0]
+        if hit.size == 0:
+            raise LgcpDesignError("tabulated mean queried off its grid")
+        out[i] = values[hit[0]]
+    return out
+
+
+class TestTabulatedMeanLookup:
+    def _masked_grid(self):
+        mask = np.ones((4, 3, 5), dtype=bool)
+        mask[:2, :2, :] = False
+        mask[3, 2, 4] = False
+        domain = Domain(np.array([[-1.0, 3.0], [10.0, 11.5], [0.0, 2.0]]), mask)
+        return discretize(domain, (6, 5, 7))
+
+    def test_masked_grid_matches_reference(self):
+        grid = self._masked_grid()
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=grid.N)
+        m = MeanFunction.tabulated(grid, values)
+        query = grid.cells[rng.permutation(grid.N)]
+        # perturbations inside the lookup tolerance still find the cell
+        query = query + rng.uniform(-1e-13, 1e-13, query.shape)
+        assert grid.N < 6 * 5 * 7
+        assert np.array_equal(mean_eval(query, m), _tabulated_reference(grid, values, query))
+        assert mean_eval(grid.cells[7], m) == values[7]
+
+    def test_masked_or_off_grid_query_raises(self):
+        grid = self._masked_grid()
+        m = MeanFunction.tabulated(grid, np.zeros(grid.N))
+        cell_width = grid.domain.widths / np.asarray(grid.resolution)
+        off = [
+            grid.cells[0] + 0.3 * cell_width,  # inside the box, between centers
+            grid.domain.lo + 0.5 * cell_width,  # center of a masked cell
+            grid.domain.hi + 0.5 * cell_width,  # center of a cell outside the box
+            np.array([np.nan, 10.5, 1.0]),
+        ]
+        for q in off:
+            with pytest.raises(LgcpDesignError):
+                mean_eval(np.vstack([grid.cells[:3], q]), m)
+            with pytest.raises(LgcpDesignError):
+                _tabulated_reference(grid, np.zeros(grid.N), q[None, :])
