@@ -411,9 +411,19 @@ class InclusionProbability:
 # ----------------------------------------------------------------------
 # rejection thinning
 
-# Proposals per inclusion-probability evaluation in rejection_wrap: one
+# Most proposals per inclusion-probability evaluation in rejection_wrap: one
 # posterior prediction then serves a whole block instead of one proposal.
 _BLOCK = 256
+
+
+def _block_size(n, accepted, pulled):
+    """Proposals expected to complete the design at the acceptance rate seen
+    so far: n for the first block, _BLOCK while nothing has been accepted."""
+    if pulled == 0:
+        return n
+    if accepted == 0:
+        return _BLOCK
+    return -(-(n - accepted) * pulled // accepted)
 
 
 def _pull(stream, count):
@@ -442,7 +452,8 @@ def rejection_wrap(
     "halton", "sobol", "fibonacci"); each admissible proposal is accepted
     independently with its inclusion probability until n points are kept.
     With p = 1 everywhere, the output equals the plain base design.
-    Probabilities are evaluated for blocks of proposals at a time; the
+    Probabilities are evaluated for blocks of proposals at a time, each
+    sized from the acceptance rate seen so far and capped at _BLOCK; the
     acceptance draws are made one per proposal in stream order, so the
     result is that of evaluating one proposal at a time.
     """
@@ -457,7 +468,8 @@ def rejection_wrap(
     accepted_idx: list[int] = []
     start = 0
     while start < max_attempts:
-        block, error = _pull(stream, min(_BLOCK, max_attempts - start))
+        size = _block_size(n, len(accepted), start)
+        block, error = _pull(stream, min(size, _BLOCK, max_attempts - start))
         probs = incl.at(np.array(block)).tolist() if block else []
         for k, prob in enumerate(probs):
             if accept_rng.random() < prob or prob >= 1.0:

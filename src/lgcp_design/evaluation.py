@@ -55,16 +55,20 @@ def _is_gaussian(model) -> bool:
     return isinstance(model.obs, GaussianObs)
 
 
-def _fit(model, points, y):
+# ``private`` passes a caller's ``_prior`` terms on; without them the call is
+# exactly the public one
+
+
+def _fit(model, points, y, **private):
     if _is_gaussian(model):
-        return gp_gaussian.fit_gaussian(model, points, y)
-    return lgcp.fit_lgcp(model, points, y)
+        return gp_gaussian.fit_gaussian(model, points, y, **private)
+    return lgcp.fit_lgcp(model, points, y, **private)
 
 
-def _predict(post, query, want="marginal"):
+def _predict(post, query, want="marginal", **private):
     if isinstance(post, gp_gaussian.GaussianPosterior):
-        return gp_gaussian.predict(post, query, want=want)
-    return lgcp.laplace_predict(post, query, want=want)
+        return gp_gaussian.predict(post, query, want=want, **private)
+    return lgcp.laplace_predict(post, query, want=want, **private)
 
 
 def _apv_value(mean, var, target) -> float:
@@ -86,22 +90,42 @@ def _points(design):
     return design.points if hasattr(design, "points") else np.asarray(design)
 
 
-def _criteria_values(model, points, y, criteria, grid) -> list[float]:
-    """Every criterion of one data replicate, from at most one fit."""
+def _prior_terms(model, points, criteria, grid):
+    """The data-independent terms of every replicate's fit and predictions
+    on one point set: (fit, grid prediction, design-point prediction), the
+    last two None when no requested criterion needs them."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    fit = gp_gaussian._fit_prior(model, X)
+    apv = any(c != "kl" for c in criteria)
+    on_grid = gp_gaussian._query_prior(model, grid.cells, X, "marginal") if apv else None
+    # kl_lemma1 predicts at the design points; the Gaussian closed form does not
+    at_points = (
+        gp_gaussian._query_prior(model, X, X, "marginal")
+        if "kl" in criteria and not _is_gaussian(model) else None
+    )
+    return fit, on_grid, at_points
+
+
+def _criteria_values(model, points, y, criteria, grid, terms) -> list[float]:
+    """Every criterion of one data replicate, from at most one fit.
+
+    ``terms`` is the point set's ``_prior_terms``.
+    """
+    fit_prior, grid_prior, points_prior = terms
     gaussian = _is_gaussian(model)
     apv = any(c != "kl" for c in criteria)
     # the Gaussian KL has a closed form that needs no fit
-    post = _fit(model, points, y) if apv or not gaussian else None
+    post = _fit(model, points, y, _prior=fit_prior) if apv or not gaussian else None
     if apv:
-        mean, var = _predict(post, grid.cells)
+        mean, var = _predict(post, grid.cells, _prior=grid_prior)
     values = []
     for c in criteria:
         if c != "kl":
             values.append(_apv_value(mean, var, c.removeprefix("apv_")))
         elif gaussian:
-            values.append(gp_gaussian.kl_gaussian_closed_form(model, points, y))
+            values.append(gp_gaussian.kl_gaussian_closed_form(model, points, y, _prior=fit_prior))
         else:
-            values.append(lgcp.kl_lemma1(post))
+            values.append(lgcp.kl_lemma1(post, _prior=points_prior))
     return values
 
 
@@ -113,24 +137,38 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     spawn_key=count_key(j, d), and fits each set once. Returns an array of
     shape (sets, criteria, M), NaN where a (set, replicate) cell failed, and
     the number of failed cells; a cell fills all its criteria or none.
+
+    The prior factor of the union and each set's prior terms do not depend
+    on the replicate, so they are built once, before the replicate loop; the
+    draws and values are those of building them in every replicate. A
+    NumericalError while building them fails every replicate they serve.
     """
     bounds = np.cumsum([0] + [pts.shape[0] for pts in point_sets])
     union = np.vstack(point_sets)
     out = np.full((len(point_sets), len(criteria), M), np.nan)
+    try:
+        factor = gp_gaussian._prior_factor(model, union)
+    except NumericalError:
+        return out, M * len(point_sets)
+    terms = []
+    for pts in point_sets:
+        try:
+            terms.append(_prior_terms(model, pts, criteria, grid))
+        except NumericalError:
+            terms.append(None)
     failures = 0
     for j in range(M):
-        try:
-            draw_seed = np.random.SeedSequence(seed, spawn_key=(j, 0))
-            f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed)[0]
-        except NumericalError:
-            failures += len(point_sets)
-            continue
+        draw_seed = np.random.SeedSequence(seed, spawn_key=(j, 0))
+        f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed, _factor=factor)[0]
         for d, pts in enumerate(point_sets):
             f = f_union[bounds[d]:bounds[d + 1]]
             counts_seed = np.random.SeedSequence(seed, spawn_key=count_key(j, d))
             y = np.asarray(lgcp.sample_counts(model, f, counts_seed), dtype=float)
+            if terms[d] is None:
+                failures += 1
+                continue
             try:
-                out[d, :, j] = _criteria_values(model, pts, y, criteria, grid)
+                out[d, :, j] = _criteria_values(model, pts, y, criteria, grid, terms[d])
             except NumericalError:
                 failures += 1
     return out, failures

@@ -62,7 +62,28 @@ class GaussianPosterior:
     log_marginal: float = 0.0
 
 
-def fit_gaussian(model, design_points, y) -> GaussianPosterior:
+def _fit_prior(model, X):
+    """Prior covariance (without jitter) and mean at design points X.
+
+    These terms of a fit do not depend on the data; a caller fitting many
+    data sets on the same points builds them once and passes them as
+    ``_prior``.
+    """
+    return model.cov_at(X), model.mean_at(X)
+
+
+def _query_prior(model, Xq, X, want):
+    """Prior terms of a prediction at Xq from a fit at X.
+
+    The cross-covariance, the prior mean at Xq, and the prior marginal
+    variance (``want="marginal"``) or covariance (``want="full"``) at Xq.
+    None of them depends on the data (Rasmussen & Williams 2006, Alg. 3.2).
+    """
+    second = model.cov_at(Xq) if want == "full" else prior_marginal_var(model, Xq)
+    return model.cov_at(Xq, X), model.mean_at(Xq), second
+
+
+def fit_gaussian(model, design_points, y, _prior=None) -> GaussianPosterior:
     """Fit the exact Gaussian posterior on the given design points.
 
     ``design_points`` is an (n, 3) array; ``y`` the observation vector.
@@ -72,33 +93,34 @@ def fit_gaussian(model, design_points, y) -> GaussianPosterior:
     n = X.shape[0]
     if y.shape != (n,) or n < 1:
         raise LgcpDesignError("y must have one entry per design point")
-    K = model.cov_at(X)
+    K, mu = _fit_prior(model, X) if _prior is None else _prior
     Ky = K + model.noise_variance * np.eye(n)
     chol = _chol(Ky, model.jitter)
-    resid = y - model.mean_at(X)
+    resid = y - mu
     alpha = cho_solve(chol, resid)
     log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
     log_marginal = -0.5 * (resid @ alpha + log_det + n * np.log(2.0 * np.pi))
     return GaussianPosterior(model, X, y, alpha, chol, float(log_marginal))
 
 
-def predict(post: GaussianPosterior, query, want: str = "marginal"):
+def predict(post: GaussianPosterior, query, want: str = "marginal", _prior=None):
     """Posterior predictive mean and variance at query points.
 
     ``want`` is "marginal" for per-point variances or "full" for the joint
     covariance matrix.
     """
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    model = post.model
-    Kqd = model.cov_at(Xq, post.train_points)
-    mean = model.mean_at(Xq) + Kqd @ post.alpha
+    Kqd, prior_mean, prior_second = (
+        _query_prior(post.model, Xq, post.train_points, want) if _prior is None else _prior
+    )
+    mean = prior_mean + Kqd @ post.alpha
     V = cho_solve(post.chol, Kqd.T)
     if want == "full":
-        cov = model.cov_at(Xq) - Kqd @ V
+        cov = prior_second - Kqd @ V
         return mean, cov
     if want != "marginal":
         raise LgcpDesignError(f"unknown prediction kind {want!r}")
-    var = prior_marginal_var(model, Xq) - np.sum(Kqd * V.T, axis=1)
+    var = prior_second - np.sum(Kqd * V.T, axis=1)
     return mean, _clamp_variances(var)
 
 
@@ -122,7 +144,17 @@ def prior_predict(model, query, want: str = "marginal"):
     return mean, prior_marginal_var(model, Xq)
 
 
-def sample_prior(model, points, count: int, seed) -> np.ndarray:
+def _prior_factor(model, X):
+    """Prior mean at X and the transposed lower Cholesky factor of the
+    (jittered) prior covariance: the part of ``sample_prior`` that does not
+    depend on the seed, to be passed back as ``_factor``."""
+    K = model.cov_at(X)
+    jitter = JITTER_SCALE * max(np.max(np.diag(K)), 1.0)
+    chol, _ = _chol(K, jitter)
+    return model.mean_at(X), np.tril(chol).T
+
+
+def sample_prior(model, points, count: int, seed, _factor=None) -> np.ndarray:
     """Draw ``count`` joint latent prior samples at the given points.
 
     Returns an array of shape (count, n_points); deterministic given seed.
@@ -130,15 +162,13 @@ def sample_prior(model, points, count: int, seed) -> np.ndarray:
     if count < 1:
         raise LgcpDesignError("count must be >= 1")
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    K = model.cov_at(X)
-    jitter = JITTER_SCALE * max(np.max(np.diag(K)), 1.0)
-    chol, _ = _chol(K, jitter)
+    mean, LT = _prior_factor(model, X) if _factor is None else _factor
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, X.shape[0]))
-    return model.mean_at(X)[None, :] + z @ np.tril(chol).T
+    return mean[None, :] + z @ LT
 
 
-def kl_gaussian_closed_form(model, design_points, y) -> float:
+def kl_gaussian_closed_form(model, design_points, y, _prior=None) -> float:
     """KL divergence from prior to posterior over the design points.
 
     Closed form for the Gaussian observation model with posterior moments
@@ -148,11 +178,11 @@ def kl_gaussian_closed_form(model, design_points, y) -> float:
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    K = model.cov_at(X)
+    K, mu = _fit_prior(model, X) if _prior is None else _prior
     jitter = model.jitter
     Kj = K + jitter * np.eye(n)
     chol_noisy = _chol(K + model.noise_variance * np.eye(n), jitter)
-    resid = y - model.mean_at(X)
+    resid = y - mu
     mu1 = K @ cho_solve(chol_noisy, resid)
     K1 = Kj - K @ cho_solve(chol_noisy, K)
 

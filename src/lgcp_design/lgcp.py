@@ -16,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import gammaln
 
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import _chol, _clamp_variances, prior_marginal_var
+from .gp_gaussian import _chol, _clamp_variances, _fit_prior, _query_prior
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
 
 __all__ = [
@@ -201,7 +201,7 @@ def _newton_objective(obs, y, f, mu, alpha):
         return float(np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha)
 
 
-def fit_lgcp(model, design_points, y) -> LatentPosterior:
+def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     """Newton MAP estimation with step-halving, then the Laplace posterior.
 
     Converges when the gradient of the exact log posterior has max-norm
@@ -215,8 +215,8 @@ def fit_lgcp(model, design_points, y) -> LatentPosterior:
     obs = model.obs
     obs.check_counts(y)
 
-    K = model.cov_at(X) + model.jitter * np.eye(n)
-    mu = model.mean_at(X)
+    K, mu = _fit_prior(model, X) if _prior is None else _prior
+    K = K + model.jitter * np.eye(n)
 
     # dual iterate: f = mu + K alpha is maintained exactly, so the
     # stationarity check grad_lik - alpha is free of K^-1 solve error
@@ -271,23 +271,24 @@ def fit_lgcp(model, design_points, y) -> LatentPosterior:
     )
 
 
-def laplace_predict(post: LatentPosterior, query, want: str = "marginal"):
+def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior=None):
     """Laplace posterior predictive mean and (co)variance at query points."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    model = post.model
-    Kqd = model.cov_at(Xq, post.design_points)
-    mean = model.mean_at(Xq) + Kqd @ post.alpha
+    Kqd, prior_mean, prior_second = (
+        _query_prior(post.model, Xq, post.design_points, want) if _prior is None else _prior
+    )
+    mean = prior_mean + Kqd @ post.alpha
     sW = np.sqrt(post.W)
     # (K + W^-1)^-1 = W^1/2 B^-1 W^1/2 with B = I + W^1/2 K W^1/2
     V = solve_triangular(
         np.tril(post.chol_B[0]), sW[:, None] * Kqd.T, lower=True
     )
     if want == "full":
-        cov = model.cov_at(Xq) - V.T @ V
+        cov = prior_second - V.T @ V
         return mean, cov
     if want != "marginal":
         raise LgcpDesignError(f"unknown prediction kind {want!r}")
-    var = prior_marginal_var(model, Xq) - np.sum(V * V, axis=0)
+    var = prior_second - np.sum(V * V, axis=0)
     return mean, _clamp_variances(var)
 
 
@@ -303,14 +304,15 @@ def _gh_nodes(count: int):
     return _GH_CACHE[count]
 
 
-def kl_lemma1(post: LatentPosterior, nodes: int = GH_NODES) -> float:
+def kl_lemma1(post: LatentPosterior, nodes: int = GH_NODES, _prior=None) -> float:
     """KL divergence from prior to posterior of the latent process.
 
     Sum over design points of E_post[log p(y_i | f_i)] under the marginal
     Laplace posterior, via Gauss-Hermite quadrature, minus the approximate
-    log marginal likelihood. Clamped to zero below -1e-10.
+    log marginal likelihood. Clamped to zero below -1e-10. ``_prior`` holds
+    the prior terms of the marginal prediction at the design points.
     """
-    mean, var = laplace_predict(post, post.design_points, want="marginal")
+    mean, var = laplace_predict(post, post.design_points, want="marginal", _prior=_prior)
     x, w = _gh_nodes(nodes)
     scale = np.sqrt(2.0 * np.maximum(var, 0.0))
     # nodes broadcast: (n, nodes)

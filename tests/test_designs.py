@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -482,9 +485,22 @@ class TestPredictionCount:
         grid = discretize(unit_cube(), (6, 6, 6))
         incl = InclusionProbability.build("expected_intensity", conditioned_model, grid)
         des = rejection_wrap("halton", incl, 90)
-        proposals = des.provenance["accepted_proposals"][-1] + 1
-        blocks = -(-proposals // dsg._BLOCK)
-        assert count_predictions == [grid.N] + [dsg._BLOCK] * blocks
+        idx = des.provenance["accepted_proposals"]
+        # blocks: n proposals first, then the proposals the acceptance rate
+        # so far says are still needed, never more than _BLOCK
+        sizes, pulled = [], 0
+        while pulled <= idx[-1]:
+            accepted = sum(i < pulled for i in idx)
+            if pulled == 0:
+                size = 90
+            elif accepted == 0:
+                size = dsg._BLOCK
+            else:
+                size = math.ceil(Fraction(90 - accepted) / Fraction(accepted, pulled))
+            sizes.append(min(size, dsg._BLOCK))
+            pulled += sizes[-1]
+        assert sizes[0] == 90 and dsg._BLOCK in sizes and len(set(sizes)) > 2
+        assert count_predictions == [grid.N] + sizes
 
 
 class TestDesignIO:

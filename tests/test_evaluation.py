@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 import lgcp_design.evaluation as ev
 from lgcp_design import (
     GaussianObs,
+    InclusionProbability,
     LgcpDesignError,
     MeanFunction,
     Model,
@@ -14,12 +17,16 @@ from lgcp_design import (
     discretize,
     expected_apv,
     expected_kl,
+    fit_gaussian,
     fit_lgcp,
     halton,
     intensity_moments,
+    kl_gaussian_closed_form,
     kl_lemma1,
     laplace_predict,
+    predict,
     random_design,
+    rejection_wrap,
     sample_counts,
     sample_prior,
     unit_cube,
@@ -40,6 +47,15 @@ def pois_model(additive_cov, concave_mean):
 @pytest.fixture
 def gauss_model(additive_cov, concave_mean):
     return Model(concave_mean, additive_cov, GaussianObs(0.5))
+
+
+@pytest.fixture
+def conditioned(pois_model):
+    """Demo 04's two-stage flow at a small size: the model after wave 1."""
+    wave1 = halton(10)
+    f1 = sample_prior(pois_model, wave1.points, 1, seed=7)[0]
+    y1 = sample_counts(pois_model, f1, seed=8).astype(float)
+    return condition_on_data(pois_model, wave1.points, y1)
 
 
 class TestDeterminism:
@@ -154,6 +170,40 @@ class TestFailurePolicy:
         monkeypatch.setattr(ev.lgcp, "fit_lgcp", flaky)
         est = expected_apv(pois_model, halton(10), grid, 40, target="latent")
         assert est.M == 39
+
+    def test_union_factor_failure_fails_every_cell(self, pois_model, grid, monkeypatch):
+        def singular(mat, jitter):
+            raise NumericalError("forced")
+
+        # only sample_prior factors through gp_gaussian's _chol on this path
+        monkeypatch.setattr(ev.gp_gaussian, "_chol", singular)
+        with pytest.raises(NumericalError, match="^4 of 4 replicates failed to converge$"):
+            expected_apv(pois_model, halton(8), grid, 4, seed=1, target="latent")
+        designs = {"a": halton(8), "b": random_design(6, seed=1), "c": halton(5, offset=8)}
+        with pytest.raises(NumericalError, match="^12 replicate fits failed across designs$"):
+            compare_designs(pois_model, designs, ["apv_latent", "kl"], grid, 4, seed=1)
+
+    def test_prior_terms_failure_fails_each_replicate_of_its_set(self, pois_model):
+        b = random_design(6, seed=1)
+
+        class FailingVariance:
+            """pois_model, except that the prior variance at b's points fails."""
+
+            obs = pois_model.obs
+            jitter = pois_model.jitter
+            mean_at = staticmethod(pois_model.mean_at)
+            cov_at = staticmethod(pois_model.cov_at)
+
+            @staticmethod
+            def var_at(points):
+                if np.array_equal(points, b.points):
+                    raise NumericalError("forced")
+                return np.full(points.shape[0], pois_model.cov.total_variance)
+
+        model = FailingVariance()
+        # kl predicts at the design points, so only design b's cells fail
+        with pytest.raises(NumericalError, match="^4 replicate fits failed across designs$"):
+            compare_designs(model, {"a": halton(8), "b": b}, ["kl"], None, 4, seed=2)
 
 
 class TestConditioning:
@@ -297,6 +347,93 @@ class TestSeedScheme:
                 _, var = laplace_predict(post, grid.cells)
                 assert got[(name, "apv_latent")][j] == float(np.mean(var))
                 assert got[(name, "kl")][j] == kl_lemma1(post)
+
+    def test_conditioned_replicates(self, conditioned, grid):
+        incl = InclusionProbability.build(
+            "truncated_expected_intensity", conditioned, grid, p_max=0.5
+        )
+        design = rejection_wrap("halton", incl, 8, seed=9, offset=10)
+        apv = expected_apv(conditioned, design, grid, 4, seed=10, target="intensity")
+        kl = expected_kl(conditioned, design, 4, seed=10)
+        for j in range(4):
+            draw_seed = np.random.SeedSequence(10, spawn_key=(j, 0))
+            f = sample_prior(conditioned, design.points, 1, draw_seed)[0]
+            counts_seed = np.random.SeedSequence(10, spawn_key=(j, 1))
+            y = sample_counts(conditioned, f, counts_seed).astype(float)
+            post = fit_lgcp(conditioned, design.points, y)
+            _, ivar = intensity_moments(*laplace_predict(post, grid.cells))
+            assert apv.replicates[j] == float(np.mean(ivar))
+            assert kl.replicates[j] == kl_lemma1(post)
+
+    def test_gaussian_replicates(self, gauss_model, grid):
+        design = halton(12)
+        apv = expected_apv(gauss_model, design, grid, 4, seed=9, target="intensity")
+        kl = expected_kl(gauss_model, design, 4, seed=9)
+        for j in range(4):
+            draw_seed = np.random.SeedSequence(9, spawn_key=(j, 0))
+            f = sample_prior(gauss_model, design.points, 1, draw_seed)[0]
+            counts_seed = np.random.SeedSequence(9, spawn_key=(j, 1))
+            y = sample_counts(gauss_model, f, counts_seed)
+            post = fit_gaussian(gauss_model, design.points, y)
+            _, ivar = intensity_moments(*predict(post, grid.cells))
+            assert apv.replicates[j] == float(np.mean(ivar))
+            assert kl.replicates[j] == kl_gaussian_closed_form(gauss_model, design.points, y)
+
+
+class TestDataIndependentWork:
+    """Prior terms are built once per call, so their cost does not grow with M."""
+
+    @pytest.fixture
+    def cov_calls(self, monkeypatch):
+        calls = []
+        real = ev.lgcp.cov_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # modules import cov_matrix by name: replace every reference
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "lgcp_design" and getattr(mod, "cov_matrix", None) is real:
+                monkeypatch.setattr(mod, "cov_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("entry", ["expected_apv", "expected_kl", "compare_designs"])
+    def test_cov_matrix_calls_independent_of_m(self, entry, pois_model, grid, cov_calls):
+        a, b = halton(10), random_design(8, seed=2)
+        run = {
+            "expected_apv": lambda M: expected_apv(pois_model, a, grid, M, seed=3,
+                                                   target="intensity"),
+            "expected_kl": lambda M: expected_kl(pois_model, a, M, seed=3),
+            "compare_designs": lambda M: compare_designs(
+                pois_model, {"a": a, "b": b}, ["apv_latent", "kl"], grid, M, seed=3),
+        }[entry]
+        counts = []
+        for M in (2, 6):
+            cov_calls.clear()
+            run(M)
+            counts.append(len(cov_calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_conditioning_predictions_independent_of_m(self, conditioned, grid, monkeypatch):
+        real = ev.lgcp.laplace_predict
+        calls = []
+
+        def counting(post, *args, **kwargs):
+            calls.append(post is conditioned.posterior)
+            return real(post, *args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "laplace_predict", counting)
+        a, b = halton(8, offset=10), halton(6, offset=18)
+        counts = []
+        for M in (2, 6):
+            calls.clear()
+            expected_apv(conditioned, a, grid, M, seed=4, target="latent")
+            expected_kl(conditioned, a, M, seed=4)
+            compare_designs(conditioned, {"a": a, "b": b}, ["apv_intensity", "kl"], grid, M,
+                            seed=4)
+            counts.append(sum(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestComparisonCsv:
