@@ -2,8 +2,7 @@
 the simulation-study sweep.
 
 Subcommands: ``design``, ``evaluate``, ``simstudy``. Exit codes: 0 success,
-2 usage error, 3 file/I-O error, 4 numerical failure. The only environment
-variable honored is LGCP_DESIGN_THREADS (simstudy worker count).
+2 usage error, 3 file/I-O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,17 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-GENERATOR_NAMES = (
-    "random",
-    "halton",
-    "sobol",
-    "fibonacci",
-    "min_dran",
-    "close_pair",
-    "min_dist",
-    "space_fill",
-)
 
 
 # ----------------------------------------------------------------------
@@ -68,12 +55,21 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _cast(cast, key, value):
+    try:
+        return cast(value)
+    except ValueError:
+        raise LgcpDesignError(
+            f"config key {key!r}: cannot read {value!r} as {cast.__name__}"
+        ) from None
+
+
 def _one(config, key, default=None, cast=str):
     if key not in config:
         if default is None:
             raise LgcpDesignError(f"config missing required key {key!r}")
         return default
-    return cast(config[key][-1])
+    return _cast(cast, key, config[key][-1])
 
 
 def _many(config, key, cast=str, default=None):
@@ -81,7 +77,7 @@ def _many(config, key, cast=str, default=None):
         if default is None:
             raise LgcpDesignError(f"config missing required key {key!r}")
         return default
-    return [cast(v) for v in config[key]]
+    return [_cast(cast, key, v) for v in config[key]]
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +115,17 @@ def _obs_from_spec(kind, sigma2, r, volume):
     raise LgcpDesignError(f"unknown observation kind {kind!r}")
 
 
+def _model_from_args(args) -> Model:
+    return _build_model(
+        args.cov_mode, args.l_s, args.l_t, args.sigma2_s, args.sigma2_t,
+        args.spatial_family, args.temporal_family,
+        MeanFunction.concave_quadratic_time(args.mean_a, args.mean_b, args.mean_c),
+        _obs_from_spec(args.obs, args.obs_sigma2, args.obs_r, args.obs_volume),
+    )
+
+
 def generate_design(name, n, domain, seed, grid=None, delta=None, k=None,
-                    incl=None, p_max=None, offset=0) -> dsg.Design:
+                    incl=None, offset=0) -> dsg.Design:
     """Dispatch a design generator by name; '<base>+rejection' thins with incl."""
     if delta is None:
         delta = dsg.default_delta(n)
@@ -192,10 +197,6 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     os.makedirs(outdir, exist_ok=True)
     chash = config_hash(config)
 
-    cov_modes = _many(config, "cov_mode", str, ["additive"])
-    l_t_vals = _many(config, "l_t", float)
-    s2t_vals = _many(config, "sigma2_t", float)
-    l_s_vals = _many(config, "l_s", float)
     sigma2_s = _one(config, "sigma2_s", 2.0, float)
     spatial_family = _one(config, "spatial_family", "matern32")
     temporal_family = _one(config, "temporal_family", "sqexp")
@@ -210,9 +211,10 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
         _one(config, "obs_r", 10.0, float),
         _one(config, "obs_volume", 1.0, float),
     )
-    design_names = _many(config, "design", str)
-    n_vals = _many(config, "n", int)
     criteria = _many(config, "criterion", str, ["apv_intensity"])
+    for criterion in criteria:
+        if criterion not in ev.CRITERIA:
+            raise LgcpDesignError(f"unknown criterion {criterion!r}")
     M = _one(config, "M", 50, int)
     root_seed = _one(config, "seed", 0, int)
     res = tuple(_many(config, "grid_resolution", int, [10, 10, 8]))
@@ -225,20 +227,15 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
         domain = unit_cube()
     grid = discretize(domain, res)
 
-    cells = enumerate_cells(config)
-
-    def run_cell(item):
-        idx, (cov_mode, l_t, s2t, l_s, name, n) = item
+    results = []
+    for idx, (cov_mode, l_t, s2t, l_s, name, n) in enumerate(enumerate_cells(config)):
         model = _build_model(
             cov_mode, l_s, l_t, sigma2_s, s2t, spatial_family, temporal_family,
             mean, obs,
         )
         incl = None
         if name.endswith("+rejection"):
-            incl = dsg.InclusionProbability.build(
-                incl_variant, model, grid,
-                p_max=p_max if incl_variant == "truncated_expected_intensity" else None,
-            )
+            incl = dsg.InclusionProbability.build(incl_variant, model, grid, p_max=p_max)
         design_seed = int(
             np.random.SeedSequence(root_seed, spawn_key=(idx, 0)).generate_state(1)[0]
         )
@@ -246,23 +243,14 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
         eval_seed = int(
             np.random.SeedSequence(root_seed, spawn_key=(idx, 1)).generate_state(1)[0]
         )
-        out = []
+        rows = []
         for criterion in criteria:
             try:
                 est = _estimate(criterion, model, design, grid, M, eval_seed)
-                out.append((criterion, est.value, est.std_error, est.M, ""))
+                rows.append((criterion, est.value, est.std_error, est.M, ""))
             except NumericalError as exc:
-                out.append((criterion, float("nan"), float("nan"), 0, str(exc)))
-        return idx, (cov_mode, l_t, s2t, l_s, name, n), out
-
-    threads = int(os.environ.get("LGCP_DESIGN_THREADS", "1"))
-    items = list(enumerate(cells))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, items))
-    else:
-        results = [run_cell(item) for item in items]
-    results.sort(key=lambda r: r[0])
+                rows.append((criterion, float("nan"), float("nan"), 0, str(exc)))
+        results.append(((cov_mode, l_t, s2t, l_s, name, n), rows))
 
     cell_path = os.path.join(outdir, "cells.csv")
     agg_path = os.path.join(outdir, "aggregated.csv")
@@ -270,7 +258,7 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     with open(cell_path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write(columns + "\n")
-        for _idx, key, rows in results:
+        for key, rows in results:
             cov_mode, l_t, s2t, l_s, name, n = key
             for criterion, est, se, m, err in rows:
                 fh.write(
@@ -280,22 +268,16 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
 
     # aggregate over l_s (the figure convention)
     groups: dict[tuple, list[tuple[float, float]]] = {}
-    order: list[tuple] = []
-    for _idx, key, rows in results:
+    for key, rows in results:
         cov_mode, l_t, s2t, _l_s, name, n = key
         for criterion, est, se, _m, err in rows:
-            if err:
-                continue
-            gkey = (cov_mode, l_t, s2t, name, n, criterion)
-            if gkey not in groups:
-                groups[gkey] = []
-                order.append(gkey)
-            groups[gkey].append((est, se))
+            if not err:
+                gkey = (cov_mode, l_t, s2t, name, n, criterion)
+                groups.setdefault(gkey, []).append((est, se))
     with open(agg_path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("cov_mode,l_t,sigma2_t,design,n,criterion,estimate,std_error,cells\n")
-        for gkey in order:
-            vals = groups[gkey]
+        for gkey, vals in groups.items():
             est = float(np.mean([v[0] for v in vals]))
             se = float(np.mean([v[1] for v in vals]))
             cov_mode, l_t, s2t, name, n, criterion = gkey
@@ -382,15 +364,8 @@ def _cmd_design(args) -> int:
     grid = discretize(domain, tuple(args.grid_res))
     incl = None
     if args.generator.endswith("+rejection"):
-        model = _build_model(
-            args.cov_mode, args.l_s, args.l_t, args.sigma2_s, args.sigma2_t,
-            args.spatial_family, args.temporal_family,
-            MeanFunction.concave_quadratic_time(args.mean_a, args.mean_b, args.mean_c),
-            _obs_from_spec(args.obs, args.obs_sigma2, args.obs_r, args.obs_volume),
-        )
         incl = dsg.InclusionProbability.build(
-            args.incl_variant, model, grid,
-            p_max=args.p_max if args.incl_variant == "truncated_expected_intensity" else None,
+            args.incl_variant, _model_from_args(args), grid, p_max=args.p_max,
         )
     design = generate_design(
         args.generator, args.n, domain, args.seed, grid=grid,
@@ -404,12 +379,7 @@ def _cmd_evaluate(args) -> int:
     domain = _domain_from_args(args)
     grid = discretize(domain, tuple(args.grid_res))
     design = dsg.load_design(args.design)
-    model = _build_model(
-        args.cov_mode, args.l_s, args.l_t, args.sigma2_s, args.sigma2_t,
-        args.spatial_family, args.temporal_family,
-        MeanFunction.concave_quadratic_time(args.mean_a, args.mean_b, args.mean_c),
-        _obs_from_spec(args.obs, args.obs_sigma2, args.obs_r, args.obs_volume),
-    )
+    model = _model_from_args(args)
     criteria = args.criterion or ["apv_intensity"]
     rows = []
     for criterion in criteria:

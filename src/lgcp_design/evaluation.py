@@ -315,7 +315,8 @@ def compare_designs(
     drawn on the union of all design points so that paired comparisons share
     their randomness; counts are then drawn per design. ``base_of`` maps a
     design name to the name of its base variant; for those rows the percent
-    reduction relative to the base is reported. A name in ``base_of`` that is
+    reduction relative to the base is reported, computed over the replicates
+    where both the design and its base succeeded. A name in ``base_of`` that is
     not in ``designs`` raises LgcpDesignError before any replicate runs. A
     failed fit drops that replicate from every criterion of its design.
 
@@ -345,9 +346,13 @@ def compare_designs(
             est = _summarize(c, reps[d, k][np.isfinite(reps[d, k])], designs[name].provenance)
             reduction = ""
             if name in base_of:
-                base_mean = float(np.nanmean(reps[names.index(base_of[name]), k]))
-                if base_mean != 0.0:
-                    reduction = 100.0 * (base_mean - est.value) / base_mean
+                base_reps = reps[names.index(base_of[name]), k]
+                paired = np.isfinite(reps[d, k]) & np.isfinite(base_reps)
+                if paired.any():
+                    base_mean = float(np.mean(base_reps[paired]))
+                    if base_mean != 0.0:
+                        mean = float(np.mean(reps[d, k][paired]))
+                        reduction = 100.0 * (base_mean - mean) / base_mean
             rows.append(
                 {
                     "design_name": name,

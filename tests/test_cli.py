@@ -1,9 +1,11 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from lgcp_design import cli
+from lgcp_design import evaluation as ev
 from lgcp_design.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -151,16 +153,26 @@ class TestSimstudy:
         assert lines[0].startswith("# config_hash=")
         assert len(lines) == 4  # hash + header + 2 cells
 
-    def test_serial_parallel_identical(self, tmp_path, monkeypatch):
+    def test_runs_on_calling_thread(self, tmp_path, monkeypatch):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SIMSTUDY_CONFIG)
-        out_s, out_p = tmp_path / "serial", tmp_path / "parallel"
+        out_plain, out_env = tmp_path / "plain", tmp_path / "env"
         monkeypatch.delenv("LGCP_DESIGN_THREADS", raising=False)
-        main(["simstudy", "--config", str(cfg), "--out", str(out_s)])
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out_plain)]) == EXIT_OK
+
+        real = ev._replicates
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "_replicates", recording)
         monkeypatch.setenv("LGCP_DESIGN_THREADS", "4")
-        main(["simstudy", "--config", str(cfg), "--out", str(out_p)])
-        assert (out_s / "cells.csv").read_bytes() == (out_p / "cells.csv").read_bytes()
-        assert (out_s / "aggregated.csv").read_bytes() == (out_p / "aggregated.csv").read_bytes()
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out_env)]) == EXIT_OK
+        assert threads == [threading.get_ident()] * 2
+        for name in ("cells.csv", "aggregated.csv"):
+            assert (out_plain / name).read_bytes() == (out_env / name).read_bytes()
 
     def test_aggregation_averages_over_spatial_lengthscale(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -179,6 +191,25 @@ class TestSimstudy:
         assert len(agg_lines) == 1
         agg_est = float(agg_lines[0].split(",")[6])
         assert agg_est == pytest.approx(np.mean(estimates), abs=1e-12)
+
+    def test_uncastable_config_value_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG + "M fifty\n")
+        assert main([
+            "simstudy", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'M'" in err and "'fifty'" in err
+
+    def test_unknown_criterion_rejected_before_first_cell(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ev, "_replicates", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG + "criterion apv_intensity KL\n")
+        assert main([
+            "simstudy", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ]) == EXIT_USAGE
+        assert calls == []
 
     def test_missing_config_io_error(self, tmp_path):
         assert main([

@@ -288,6 +288,33 @@ class TestCompareDesigns:
         a_reps = [r["replicates"] for r in rows if r["design_name"] == "a"]
         assert all(np.isnan(reps[1]) for reps in a_reps)
 
+    def test_reduction_from_paired_replicates(self, pois_model, grid, monkeypatch):
+        # the 3rd KL call is base design a's in replicate 1; b keeps that
+        # replicate, so the reduction must leave it out of both means
+        real = ev.lgcp.kl_lemma1
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] == 3:
+                raise NumericalError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "kl_lemma1", flaky)
+        designs = {"a": halton(10), "b": random_design(10, seed=2)}
+        rows = compare_designs(
+            pois_model, designs, ["apv_latent", "kl"], grid, 20, seed=0, base_of={"b": "a"}
+        )
+        byname = {(r["design_name"], r["criterion"]): r for r in rows}
+        for c in ("apv_latent", "kl"):
+            ra, rb = byname["a", c]["replicates"], byname["b", c]["replicates"]
+            assert np.isnan(ra[1]) and np.isfinite(rb[1])
+            keep = np.isfinite(ra) & np.isfinite(rb)
+            base_mean = ra[keep].mean()
+            expected = 100.0 * (base_mean - rb[keep].mean()) / base_mean
+            assert byname["b", c]["reduction_vs_base_pct"] == pytest.approx(expected, rel=1e-12)
+            assert byname["b", c]["M"] == 20
+
     def test_unknown_base_rejected_before_replicates(self, pois_model, grid, monkeypatch):
         def no_replicates(*args, **kwargs):
             raise AssertionError("a replicate ran")
