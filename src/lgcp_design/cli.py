@@ -43,8 +43,8 @@ def parse_config(path) -> dict:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition(" ")
-            config.setdefault(key, []).extend(value.split())
+            key, *values = line.split()
+            config.setdefault(key, []).extend(values)
     return config
 
 
@@ -194,7 +194,6 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     One cell per (cov_mode, l_t, sigma2_t, l_s, design, n); every configured
     criterion is evaluated in each cell. Returns the two CSV paths.
     """
-    os.makedirs(outdir, exist_ok=True)
     chash = config_hash(config)
 
     sigma2_s = _one(config, "sigma2_s", 2.0, float)
@@ -226,9 +225,11 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     else:
         domain = unit_cube()
     grid = discretize(domain, res)
+    cells = enumerate_cells(config)
+    os.makedirs(outdir, exist_ok=True)
 
     results = []
-    for idx, (cov_mode, l_t, s2t, l_s, name, n) in enumerate(enumerate_cells(config)):
+    for idx, (cov_mode, l_t, s2t, l_s, name, n) in enumerate(cells):
         model = _build_model(
             cov_mode, l_s, l_t, sigma2_s, s2t, spatial_family, temporal_family,
             mean, obs,

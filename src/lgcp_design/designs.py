@@ -67,89 +67,92 @@ def default_delta(n: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# proposal streams (unit-cube points, lazily indexed)
-
-
-def _van_der_corput(i: int, base: int) -> float:
-    v, denom = 0.0, 1.0
-    while i > 0:
-        denom *= base
-        i, rem = divmod(i, base)
-        v += rem / denom
-    return v
-
-
-def _halton_point(i: int) -> np.ndarray:
-    # index starts at 1: base-2 sequence begins 1/2, 1/4, 3/4, ...
-    return np.array([_van_der_corput(i + 1, b) for b in (2, 3, 5)])
-
-
-def _uniform_stream(seed, n_hint):
-    rng = np.random.default_rng(seed)
-    while True:
-        yield rng.random(3)
-
-
-def _halton_stream(offset, n_hint):
-    i = offset
-    while True:
-        yield _halton_point(i)
-        i += 1
-
-
-def _sobol_stream(offset, n_hint):
-    gen = qmc.Sobol(d=3, scramble=False)
-    if offset:
-        gen.fast_forward(offset)
-    while True:
-        for u in gen.random(256):
-            yield u
-
-
-def _fibonacci_stream(offset, n_hint):
-    # rank-1 golden-ratio lattice; first axis strides 1/n_hint
-    g = np.array([1.0 / max(n_hint, 1), 1.0 / _PHI, 1.0 / _PHI**2])
-    i = offset
-    while True:
-        yield np.mod((i + 0.5) * g, 1.0)
-        i += 1
-
-
-def _admissible_stream(stream, domain):
-    """Filter a unit-cube stream down to admissible domain points."""
-    misses = 0
-    for u in stream:
-        p = from_unit_cube(u, domain)
-        if is_admissible(p, domain):
-            misses = 0
-            yield p
-        else:
-            misses += 1
-            if misses >= MAX_CONSECUTIVE_REJECTIONS:
-                raise InfeasibleDesignError(
-                    "mask rejected 10^6 consecutive proposals"
-                )
-
-
-def _make_stream(name, domain, seed, offset, n_hint):
-    if name == "random":
-        raw = _uniform_stream(seed, n_hint)
-    elif name == "halton":
-        raw = _halton_stream(offset, n_hint)
-    elif name == "sobol":
-        raw = _sobol_stream(offset, n_hint)
-    elif name == "fibonacci":
-        raw = _fibonacci_stream(offset, n_hint)
-    else:
-        raise LgcpDesignError(f"unknown base generator {name!r}")
-    return _admissible_stream(raw, domain)
-
+# proposal source (base sequences, drawn as arrays)
 
 BASE_GENERATORS = ("random", "halton", "sobol", "fibonacci")
 
 
-def _take(stream, n):
-    return np.array([next(stream) for _ in range(n)])
+def _van_der_corput(i: np.ndarray, base: int) -> np.ndarray:
+    v, denom = np.zeros(i.shape), 1.0
+    while i.any():
+        denom *= base
+        i, rem = np.divmod(i, base)
+        v += rem / denom
+    return v
+
+
+class _Proposals:
+    """Admissible domain points of one base sequence, in sequence order.
+
+    Raw unit-cube proposals are drawn, mapped and mask-checked as arrays,
+    only as many per round as admissible points are still missing, so a
+    completed take never draws past the last point it returns.
+    """
+
+    def __init__(self, name, domain, seed, offset, n_hint):
+        if name not in BASE_GENERATORS:
+            raise LgcpDesignError(f"unknown base generator {name!r}")
+        self._name, self._domain, self._index = name, domain, offset
+        self._misses = 0  # masked proposals since the last admissible one
+        if name == "random":
+            self._rng = np.random.default_rng(seed)
+        elif name == "sobol":
+            self._sobol = qmc.Sobol(d=3, scramble=False)
+            if offset:
+                self._sobol.fast_forward(offset)
+        elif name == "fibonacci":
+            # rank-1 golden-ratio lattice; first axis strides 1/n_hint
+            self._g = np.array([1.0 / max(n_hint, 1), 1.0 / _PHI, 1.0 / _PHI**2])
+
+    def _unit(self, k):
+        """The next k raw proposals, as a (k, 3) unit-cube array."""
+        if self._name == "random":
+            return self._rng.random((k, 3))
+        if self._name == "sobol":
+            if self._sobol.num_generated == 0 and k > 1:
+                # scipy warns unless a fresh generator's first draw is a power of 2
+                return np.vstack([self._sobol.random(1), self._sobol.random(k - 1)])
+            return self._sobol.random(k)
+        i = np.arange(self._index, self._index + k)
+        self._index += k
+        if self._name == "halton":
+            # index starts at 1: base-2 sequence begins 1/2, 1/4, 3/4, ...
+            return np.column_stack([_van_der_corput(i + 1, b) for b in (2, 3, 5)])
+        return np.mod((i[:, None] + 0.5) * self._g, 1.0)
+
+    def take(self, count):
+        """The next ``count`` admissible points as a (count, 3) array, and None.
+
+        If the mask rejects MAX_CONSECUTIVE_REJECTIONS proposals in a row,
+        the points before that streak come back with the
+        InfeasibleDesignError in place of None.
+        """
+        found = [np.empty((0, 3))]
+        missing = count
+        while missing > 0:
+            p = from_unit_cube(self._unit(missing), self._domain)
+            ok = is_admissible(p, self._domain)
+            # masked proposals in a row up to each proposal, across rounds
+            j = np.arange(missing)
+            run = j - np.maximum.accumulate(np.where(ok, j, -1 - self._misses))
+            streak = np.flatnonzero(run >= MAX_CONSECUTIVE_REJECTIONS)
+            if streak.size:
+                found.append(p[: streak[0]][ok[: streak[0]]])
+                return np.concatenate(found), InfeasibleDesignError(
+                    "mask rejected 10^6 consecutive proposals"
+                )
+            found.append(p[ok])
+            missing -= len(found[-1])
+            self._misses = int(run[-1])
+        return np.concatenate(found), None
+
+
+def _first(name, n, domain, seed=None, offset=0):
+    """The first n admissible points of a base sequence."""
+    points, error = _Proposals(name, domain, seed, offset, n).take(n)
+    if error is not None:
+        raise error
+    return points
 
 
 # ----------------------------------------------------------------------
@@ -159,33 +162,29 @@ def _take(stream, n):
 def random_design(n: int, domain: Domain | None = None, seed=0) -> Design:
     """n points uniform over the admissible region of the domain."""
     domain = domain or unit_cube()
-    pts = _take(_make_stream("random", domain, seed, 0, n), n)
+    pts = _first("random", n, domain, seed)
     return Design(pts, {"generator": "random", "n": n, "seed": seed})
 
 
 def halton(n: int, offset: int = 0, domain: Domain | None = None) -> Design:
     """First n admissible points of the 3-D Halton sequence (bases 2, 3, 5)."""
     domain = domain or unit_cube()
-    pts = _take(_make_stream("halton", domain, None, offset, n), n)
+    pts = _first("halton", n, domain, offset=offset)
     return Design(pts, {"generator": "halton", "n": n, "offset": offset})
 
 
 def sobol(n: int, offset: int = 0, domain: Domain | None = None) -> Design:
     """First n admissible points of the 3-D Sobol sequence."""
     domain = domain or unit_cube()
-    pts = _take(_make_stream("sobol", domain, None, offset, n), n)
+    pts = _first("sobol", n, domain, offset=offset)
     return Design(pts, {"generator": "sobol", "n": n, "offset": offset})
 
 
 def fibonacci_lattice_3d(n: int, domain: Domain | None = None) -> Design:
     """Deterministic golden-ratio rank-1 lattice of n points."""
     domain = domain or unit_cube()
-    pts = _take(_make_stream("fibonacci", domain, None, 0, n), n)
+    pts = _first("fibonacci", n, domain)
     return Design(pts, {"generator": "fibonacci", "n": n})
-
-
-def _unit_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
 
 
 def simple_inhibitory(n: int, delta: float, domain: Domain | None = None, seed=0) -> Design:
@@ -426,17 +425,6 @@ def _block_size(n, accepted, pulled):
     return -(-(n - accepted) * pulled // accepted)
 
 
-def _pull(stream, count):
-    """Up to ``count`` proposals, and the stream error that cut them short."""
-    block = []
-    try:
-        for _ in range(count):
-            block.append(next(stream))
-    except InfeasibleDesignError as exc:
-        return block, exc
-    return block, None
-
-
 def rejection_wrap(
     base: str,
     incl: InclusionProbability,
@@ -446,55 +434,56 @@ def rejection_wrap(
     max_attempts: int | None = None,
     offset: int = 0,
 ) -> Design:
-    """Thin a base proposal stream with an inclusion probability.
+    """Thin a base proposal sequence with an inclusion probability.
 
-    Proposals come from one of the stream-based generators ("random",
+    Proposals come from one of the sequence-based generators ("random",
     "halton", "sobol", "fibonacci"); each admissible proposal is accepted
     independently with its inclusion probability until n points are kept.
     With p = 1 everywhere, the output equals the plain base design.
-    Probabilities are evaluated for blocks of proposals at a time, each
-    sized from the acceptance rate seen so far and capped at _BLOCK; the
-    acceptance draws are made one per proposal in stream order, so the
-    result is that of evaluating one proposal at a time.
+    Proposals are drawn and thinned in blocks, each sized from the
+    acceptance rate seen so far and capped at _BLOCK: one probability
+    evaluation and one array of acceptance draws per block, in sequence
+    order, so the result is that of thinning one proposal at a time.
     """
     domain = domain or unit_cube()
     if max_attempts is None:
         max_attempts = 1000 * n
     if max_attempts < n:
         raise LgcpDesignError("max_attempts must be at least n")
-    stream = _make_stream(base, domain, seed, offset, n)
+    source = _Proposals(base, domain, seed, offset, n)
     accept_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    accepted: list[np.ndarray] = []
+    accepted = [np.empty((0, 3))]
     accepted_idx: list[int] = []
     start = 0
     while start < max_attempts:
-        size = _block_size(n, len(accepted), start)
-        block, error = _pull(stream, min(size, _BLOCK, max_attempts - start))
-        probs = incl.at(np.array(block)).tolist() if block else []
-        for k, prob in enumerate(probs):
-            if accept_rng.random() < prob or prob >= 1.0:
-                accepted.append(block[k])
-                accepted_idx.append(start + k)
-                if len(accepted) == n:
-                    return Design(
-                        np.array(accepted),
-                        {
-                            "generator": f"{base}+rejection",
-                            "base": base,
-                            "n": n,
-                            "seed": seed,
-                            "offset": offset,
-                            "incl_variant": incl.variant,
-                            "accepted_proposals": accepted_idx,
-                        },
-                    )
-        # the proposals pulled before a stream failure may complete the design
+        size = _block_size(n, len(accepted_idx), start)
+        block, error = source.take(min(size, _BLOCK, max_attempts - start))
+        if len(block):
+            probs = incl.at(block)
+            keep = (accept_rng.random(len(block)) < probs) | (probs >= 1.0)
+            kept = np.flatnonzero(keep)[: n - len(accepted_idx)]
+            accepted.append(block[kept])
+            accepted_idx.extend((start + kept).tolist())
+        if len(accepted_idx) == n:
+            return Design(
+                np.concatenate(accepted),
+                {
+                    "generator": f"{base}+rejection",
+                    "base": base,
+                    "n": n,
+                    "seed": seed,
+                    "offset": offset,
+                    "incl_variant": incl.variant,
+                    "accepted_proposals": accepted_idx,
+                },
+            )
+        # the proposals taken before a mask failure may complete the design
         if error is not None:
             raise error
         start += len(block)
     raise InfeasibleDesignError(
         f"rejection budget of {max_attempts} proposals exhausted "
-        f"({len(accepted)} of {n} accepted)"
+        f"({len(accepted_idx)} of {n} accepted)"
     )
 
 

@@ -32,6 +32,11 @@ class TestConfigParsing:
         assert parsed["design"] == ["halton"]
         assert parsed["n"] == ["50"]
 
+    def test_tab_separated_values(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("M\t7\nl_t\t0.2 \t0.85\n")
+        assert parse_config(cfg) == {"M": ["7"], "l_t": ["0.2", "0.85"]}
+
     def test_hash_stable_and_order_independent(self, tmp_path):
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"
@@ -210,6 +215,14 @@ class TestSimstudy:
             "simstudy", "--config", str(cfg), "--out", str(tmp_path / "o"),
         ]) == EXIT_USAGE
         assert calls == []
+
+    @pytest.mark.parametrize("line", ["criterion KL\n", "M fifty\n", "l_t short\n"])
+    def test_usage_error_leaves_no_output_directory(self, tmp_path, line):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG + line)
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_missing_config_io_error(self, tmp_path):
         assert main([

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from lgcp_design import (
     default_delta,
     discretize,
     fibonacci_lattice_3d,
+    from_unit_cube,
     halton,
     inhibitory_close_pairs,
     is_admissible,
@@ -345,9 +347,46 @@ def conditioned_model(poisson_model_fixture):
     return condition_on_data(poisson_model_fixture, wave1, y)
 
 
+def _per_point_stream(name, domain, seed, offset, n_hint):
+    """Admissible proposals generated, mapped and mask-checked one point at a
+    time, as a reference for the array source."""
+    if name == "random":
+        rng = np.random.default_rng(seed)
+        raw = (rng.random(3) for _ in itertools.count())
+    elif name == "halton":
+
+        def vdc(i, base):
+            v, denom = 0.0, 1.0
+            while i > 0:
+                denom *= base
+                i, rem = divmod(i, base)
+                v += rem / denom
+            return v
+
+        raw = (np.array([vdc(i + 1, b) for b in (2, 3, 5)]) for i in itertools.count(offset))
+    elif name == "sobol":
+        gen = qmc.Sobol(d=3, scramble=False)
+        if offset:
+            gen.fast_forward(offset)
+        raw = (u for _ in itertools.count() for u in gen.random(256))
+    else:
+        g = np.array([1.0 / max(n_hint, 1), 1.0 / dsg._PHI, 1.0 / dsg._PHI**2])
+        raw = (np.mod((i + 0.5) * g, 1.0) for i in itertools.count(offset))
+    misses = 0
+    for u in raw:
+        p = from_unit_cube(u, domain)
+        if is_admissible(p, domain):
+            misses = 0
+            yield p
+        else:
+            misses += 1
+            if misses >= dsg.MAX_CONSECUTIVE_REJECTIONS:
+                raise InfeasibleDesignError("mask rejected 10^6 consecutive proposals")
+
+
 def _per_proposal_rejection(base, incl, n, domain, seed, max_attempts, offset=0):
     """rejection_wrap evaluated one proposal at a time, as a reference."""
-    stream = dsg._make_stream(base, domain, seed, offset, n)
+    stream = _per_point_stream(base, domain, seed, offset, n)
     accept_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     points, idx = [], []
     for j in range(max_attempts):
@@ -432,7 +471,7 @@ class TestBlockedThinning:
         # the mask stream gives up after 3 consecutive misses
         monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 3)
         dom = masked_domain()
-        stream = dsg._make_stream("random", dom, 4, 0, 1)
+        stream = _per_point_stream("random", dom, 4, 0, 1)
         available = 0
         with pytest.raises(InfeasibleDesignError):
             while True:
@@ -453,6 +492,47 @@ class TestBlockedThinning:
         cand = discretize(unit_cube(), (7, 7, 6)).cells
         des = space_fill_rejection(40, cand, incl, seed=6)
         assert np.array_equal(des.points, _per_candidate_space_fill(40, cand, incl, 6))
+
+
+class TestProposalSource:
+    """The array proposal source reproduces the per-point streams."""
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    @pytest.mark.parametrize("base", dsg.BASE_GENERATORS)
+    def test_takes_concatenate_to_one_take(self, base, offset):
+        dom = masked_domain()
+        sizes = [1, 7, dsg._BLOCK, 3, 1, 100]
+        source = dsg._Proposals(base, dom, 2, offset, 40)
+        parts = []
+        for k in sizes:
+            pts, error = source.take(k)
+            assert error is None and pts.shape == (k, 3)
+            parts.append(pts)
+        whole, error = dsg._Proposals(base, dom, 2, offset, 40).take(sum(sizes))
+        assert error is None
+        assert np.array_equal(np.concatenate(parts), whole)
+        stream = _per_point_stream(base, dom, 2, offset, 40)
+        assert np.array_equal(whole, [next(stream) for _ in range(sum(sizes))])
+
+    def test_consecutive_misses_cut_a_take(self, monkeypatch):
+        monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 3)
+        dom = masked_domain()
+        ref = []
+        with pytest.raises(InfeasibleDesignError):
+            for p in _per_point_stream("random", dom, 4, 0, 1):
+                ref.append(p)
+        assert len(ref) > 1
+        pts, error = dsg._Proposals("random", dom, 4, 0, 1).take(len(ref) + 50)
+        assert isinstance(error, InfeasibleDesignError) and "consecutive" in str(error)
+        assert np.array_equal(pts, ref)
+        # the streak only cuts a take that asks past the points before it
+        source = dsg._Proposals("random", dom, 4, 0, 1)
+        pts, error = source.take(len(ref) - 1)
+        assert error is None and np.array_equal(pts, ref[:-1])
+        pts, error = source.take(1)
+        assert error is None and np.array_equal(pts, ref[-1:])
+        pts, error = source.take(1)
+        assert isinstance(error, InfeasibleDesignError) and pts.shape == (0, 3)
 
 
 class TestPredictionCount:
