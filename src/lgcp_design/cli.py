@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,43 +125,74 @@ def _model_from_args(args) -> Model:
     )
 
 
+class _Request(NamedTuple):
+    n: int
+    domain: Domain
+    seed: object
+    grid: object
+    delta: float
+    k: int | None
+    incl: object
+    offset: int
+
+
+def _grid(r, message):
+    if r.grid is None:
+        raise LgcpDesignError(message)
+    return r.grid
+
+
+def _incl(r):
+    if r.incl is None:
+        raise LgcpDesignError("rejection designs need an inclusion probability")
+    return r.incl
+
+
+def _space_fill_rejection(r):
+    incl = _incl(r)
+    cells = _grid(r, "space_fill needs a candidate grid").cells
+    return dsg.space_fill_rejection(r.n, cells, incl, r.seed, domain=r.domain)
+
+
+def _rejection(base):
+    return lambda r: dsg.rejection_wrap(base, _incl(r), r.n, r.domain, r.seed, offset=r.offset)
+
+
+# Every generator name and how it builds its design from a _Request: the one
+# table generate_design dispatches through and simstudy checks its names
+# against. Entries look the generator up on ``dsg`` when they are called.
+_GENERATORS = {
+    "random": lambda r: dsg.random_design(r.n, r.domain, r.seed),
+    "halton": lambda r: dsg.halton(r.n, r.offset, r.domain),
+    "sobol": lambda r: dsg.sobol(r.n, r.offset, r.domain),
+    "fibonacci": lambda r: dsg.fibonacci_lattice_3d(r.n, r.domain),
+    "min_dran": lambda r: dsg.simple_inhibitory(r.n, r.delta, r.domain, r.seed),
+    "close_pair": lambda r: dsg.inhibitory_close_pairs(
+        r.n, r.k or r.n // 2, r.delta, r.domain, r.seed),
+    "min_dist": lambda r: dsg.min_dist_discrete(
+        r.n, r.delta, _grid(r, "min_dist needs a grid"), r.seed),
+    "space_fill": lambda r: dsg.coffee_house(
+        r.n, _grid(r, "space_fill needs a candidate grid").cells, domain=r.domain),
+    "space_fill+rejection": _space_fill_rejection,
+    **{f"{base}+rejection": _rejection(base) for base in dsg.BASE_GENERATORS},
+}
+
+
+def _check_generator(name):
+    if name in _GENERATORS:
+        return
+    if name.endswith("+rejection"):
+        raise LgcpDesignError(f"unknown rejection base {name.removesuffix('+rejection')!r}")
+    raise LgcpDesignError(f"unknown generator {name!r}")
+
+
 def generate_design(name, n, domain, seed, grid=None, delta=None, k=None,
                     incl=None, offset=0) -> dsg.Design:
     """Dispatch a design generator by name; '<base>+rejection' thins with incl."""
     if delta is None:
         delta = dsg.default_delta(n)
-    if name.endswith("+rejection"):
-        base = name.removesuffix("+rejection")
-        if incl is None:
-            raise LgcpDesignError("rejection designs need an inclusion probability")
-        if base == "space_fill":
-            if grid is None:
-                raise LgcpDesignError("space_fill needs a candidate grid")
-            return dsg.space_fill_rejection(n, grid.cells, incl, seed, domain=domain)
-        if base not in dsg.BASE_GENERATORS:
-            raise LgcpDesignError(f"unknown rejection base {base!r}")
-        return dsg.rejection_wrap(base, incl, n, domain, seed, offset=offset)
-    if name == "random":
-        return dsg.random_design(n, domain, seed)
-    if name == "halton":
-        return dsg.halton(n, offset, domain)
-    if name == "sobol":
-        return dsg.sobol(n, offset, domain)
-    if name == "fibonacci":
-        return dsg.fibonacci_lattice_3d(n, domain)
-    if name == "min_dran":
-        return dsg.simple_inhibitory(n, delta, domain, seed)
-    if name == "close_pair":
-        return dsg.inhibitory_close_pairs(n, k or n // 2, delta, domain, seed)
-    if name == "min_dist":
-        if grid is None:
-            raise LgcpDesignError("min_dist needs a grid")
-        return dsg.min_dist_discrete(n, delta, grid, seed)
-    if name == "space_fill":
-        if grid is None:
-            raise LgcpDesignError("space_fill needs a candidate grid")
-        return dsg.coffee_house(n, grid.cells, domain=domain)
-    raise LgcpDesignError(f"unknown generator {name!r}")
+    _check_generator(name)
+    return _GENERATORS[name](_Request(n, domain, seed, grid, delta, k, incl, offset))
 
 
 def _estimate(criterion, model, design, grid, M, seed) -> ev.UtilityEstimate:
@@ -214,6 +246,8 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     for criterion in criteria:
         if criterion not in ev.CRITERIA:
             raise LgcpDesignError(f"unknown criterion {criterion!r}")
+    for name in _many(config, "design", str):
+        _check_generator(name)
     M = _one(config, "M", 50, int)
     root_seed = _one(config, "seed", 0, int)
     res = tuple(_many(config, "grid_resolution", int, [10, 10, 8]))

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import gammaln
 
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import _chol, _clamp_variances, _fit_prior, _query_prior
+from .gp_gaussian import _clamp_variances, _fit_prior, _query_prior
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
+LINE_SEARCH_HALVINGS = 30
 GH_NODES = 31
 
 
@@ -188,10 +190,12 @@ class LatentPosterior:
     f_hat: np.ndarray
     W: np.ndarray
     alpha: np.ndarray = field(repr=False)  # K^-1 (f_hat - mu)
-    chol_B: np.ndarray = field(repr=False)  # lower Cholesky of I + W^1/2 K W^1/2
+    chol_B: tuple = field(repr=False)  # (lower Cholesky of I + W^1/2 K W^1/2, True)
     K: np.ndarray = field(repr=False)
     log_marginal: float = 0.0
     iterations: int = 0
+    halvings: int = 0  # line-search step halvings over all iterations
+    grad_max: float = float("nan")  # max |gradient| of the log posterior at f_hat
 
 
 def _newton_objective(obs, y, f, mu, alpha):
@@ -201,11 +205,40 @@ def _newton_objective(obs, y, f, mu, alpha):
         return float(np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha)
 
 
+def _factor_B(K, sW):
+    """Lower Cholesky factor of B = I + W^1/2 K W^1/2.
+
+    B is built in a fresh Fortran-ordered array, which LAPACK's dpotrf
+    factors in place (the routine ``cho_factor`` calls, without its argument
+    checks; the caller has checked that K is finite). The strict upper
+    triangle keeps B's entries, as ``cho_factor`` leaves it.
+    """
+    n = K.shape[0]
+    B = np.multiply(sW[:, None], K, order="F")
+    B *= sW[None, :]
+    B.flat[:: n + 1] += 1.0
+    c, info = dpotrf(B, lower=1, overwrite_a=1, clean=0)
+    if info:
+        raise NumericalError(
+            "Cholesky factorization failed: "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return c
+
+
 def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     """Newton MAP estimation with step-halving, then the Laplace posterior.
 
-    Converges when the gradient of the exact log posterior has max-norm
-    below 1e-8; non-convergence raises NumericalError.
+    Rasmussen & Williams (2006) Alg. 3.1 in the B = I + W^1/2 K W^1/2
+    parameterization. Each iteration factors B with LAPACK's dpotrf and
+    solves with dpotrs directly; K is checked to be finite once per fit (a
+    non-finite K raises ValueError). The line search keeps the step,
+    iterate and objective of the trial it accepts; only when all
+    ``LINE_SEARCH_HALVINGS`` tried steps fail is the next, untried, halved
+    step taken without a test. Converges when the gradient of the exact log
+    posterior has max-norm below 1e-8; non-convergence raises
+    NumericalError. The posterior records the iteration count, the total
+    number of step halvings and the final gradient max-norm.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -217,12 +250,16 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
 
     K, mu = _fit_prior(model, X) if _prior is None else _prior
     K = K + model.jitter * np.eye(n)
+    if not np.all(np.isfinite(K)):
+        # _factor_B does not check its input; this is scipy's error for it
+        raise ValueError("array must not contain infs or NaNs")
 
     # dual iterate: f = mu + K alpha is maintained exactly, so the
     # stationarity check grad_lik - alpha is free of K^-1 solve error
     f = mu.copy()
     alpha = np.zeros(n)
     obj = _newton_objective(obs, y, f, mu, alpha)
+    halvings = 0
     converged = False
     it = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -231,43 +268,40 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
         grad = grad_lik - alpha
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(grad))):
             raise NumericalError("Newton MAP produced non-finite iterates")
-        if np.max(np.abs(grad)) < NEWTON_TOL:
+        grad_max = float(np.max(np.abs(grad)))
+        if grad_max < NEWTON_TOL:
             converged = True
             break
-        # Rasmussen & Williams Alg. 3.1 step in the B parameterization
         sW = np.sqrt(W)
-        B = np.eye(n) + sW[:, None] * K * sW[None, :]
-        chol_B = _chol(B, 0.0)
+        chol = _factor_B(K, sW)
         b = W * (f - mu) + grad_lik
-        a_new = b - sW * cho_solve(chol_B, sW * (K @ b))
+        a_new = b - sW * dpotrs(chol, sW * (K @ b), lower=1, overwrite_b=1)[0]
         # step-halving line search on the exact log posterior; the slack
         # keeps roundoff noise in the objective from rejecting full Newton
-        # steps near the optimum
+        # steps near the optimum. Steps 1 to 2^-(H-1) are tested; when all
+        # fail, step 2^-H is taken untested.
         slack = 1e-9 * max(1.0, abs(obj))
         step = 1.0
-        for _ in range(30):
+        for k in range(LINE_SEARCH_HALVINGS + 1):
             alpha_try = alpha + step * (a_new - alpha)
             f_try = mu + K @ alpha_try
             obj_try = _newton_objective(obs, y, f_try, mu, alpha_try)
-            if obj_try >= obj - slack:
+            if obj_try >= obj - slack or k == LINE_SEARCH_HALVINGS:
                 break
             step *= 0.5
-        alpha = alpha + step * (a_new - alpha)
-        f = mu + K @ alpha
-        obj = _newton_objective(obs, y, f, mu, alpha)
+            halvings += 1
+        alpha, f, obj = alpha_try, f_try, obj_try
     if not converged:
         raise NumericalError(f"Newton MAP did not converge in {NEWTON_MAX_ITER} iterations")
 
-    W = np.maximum(obs.hessian_diag(y, f), 0.0)
-    sW = np.sqrt(W)
-    B = np.eye(n) + sW[:, None] * K * sW[None, :]
-    chol_B = _chol(B, 0.0)
+    # W is the Hessian at the final f, computed by the converged iteration
+    chol_B = (_factor_B(K, np.sqrt(W)), True)
     log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B[0])))
-    log_marginal = float(
-        np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha - 0.5 * log_det_B
-    )
+    # obj is the log posterior at (f, alpha), so this is the Laplace
+    # approximation of the log marginal likelihood
+    log_marginal = float(obj - 0.5 * log_det_B)
     return LatentPosterior(
-        model, X, y, f, W, alpha, chol_B, K, log_marginal, it
+        model, X, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
     )
 
 
@@ -277,12 +311,18 @@ def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior
     Kqd, prior_mean, prior_second = (
         _query_prior(post.model, Xq, post.design_points, want) if _prior is None else _prior
     )
-    mean = prior_mean + Kqd @ post.alpha
+    cross = Kqd @ post.alpha
+    if not np.all(np.isfinite(cross)):
+        # alpha is finite, so Kqd is not; dtrtrs does not check its input,
+        # and this is scipy's error for it
+        raise ValueError("array must not contain infs or NaNs")
+    mean = prior_mean + cross
     sW = np.sqrt(post.W)
-    # (K + W^-1)^-1 = W^1/2 B^-1 W^1/2 with B = I + W^1/2 K W^1/2
-    V = solve_triangular(
-        np.tril(post.chol_B[0]), sW[:, None] * Kqd.T, lower=True
-    )
+    # (K + W^-1)^-1 = W^1/2 B^-1 W^1/2 with B = I + W^1/2 K W^1/2. V solves
+    # L V = W^1/2 Kdq as (L^T)^T V = W^1/2 Kdq, which reads only L's lower
+    # triangle and rounds as scipy's solve_triangular(np.tril(L)) does; a
+    # lower no-transpose solve would round differently
+    V = dtrtrs(post.chol_B[0].T, sW[:, None] * Kqd.T, lower=0, trans=1, overwrite_b=1)[0]
     if want == "full":
         cov = prior_second - V.T @ V
         return mean, cov

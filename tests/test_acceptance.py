@@ -135,7 +135,13 @@ def test_criterion_02_lemma1_exact_for_gaussian(capsys):
 
 
 def _poisson_kl_bruteforce(model, X, y, nodes=4001, half_width=8.0):
-    """Dense-quadrature KL oracle over the exact posterior, n in {1, 2}."""
+    """Dense-quadrature KL oracle over the exact posterior, n in {1, 2}.
+
+    The grid is the tensor product of one axis per site, kept as its axes:
+    the prior's quadratic form broadcasts over them, and the Poisson log
+    likelihood (up to constants) is a sum of one term per axis, so the
+    posterior expectation and the evidence reduce to per-axis sums.
+    """
     n = X.shape[0]
     K = model.cov_at(X) + model.jitter * np.eye(n)
     mu = model.mean_at(X)
@@ -144,22 +150,38 @@ def _poisson_kl_bruteforce(model, X, y, nodes=4001, half_width=8.0):
         np.linspace(mu[i] - half_width * sd[i], mu[i] + half_width * sd[i], nodes)
         for i in range(n)
     ]
-    if n == 1:
-        f = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        f = np.column_stack([g0.ravel(), g1.ravel()])
-    diff = f - mu
     Kinv = np.linalg.inv(K)
-    log_prior = -0.5 * np.sum((diff @ Kinv) * diff, axis=1)
-    log_lik = np.sum(y[None, :] * f - np.exp(f), axis=1)
-    log_joint = log_prior + log_lik
-    w = np.exp(log_joint - log_joint.max())
+    lik = [y[i] * axes[i] - np.exp(axes[i]) for i in range(n)]
+    if n == 1:
+        log_prior = -0.5 * Kinv[0, 0] * (axes[0] - mu[0]) ** 2
+        log_joint = log_prior + lik[0]
+    else:
+        d0, d1 = (axes[0] - mu[0])[:, None], (axes[1] - mu[1])[None, :]
+        log_prior = Kinv[0, 0] * d0**2 + Kinv[1, 1] * d1**2
+        log_prior += (Kinv[0, 1] + Kinv[1, 0]) * d0 * d1
+        log_prior *= -0.5
+        log_joint = log_prior + lik[0][:, None]
+        log_joint += lik[1][None, :]
+    # normalized posterior and prior weights, in place of the log arrays
+    w = log_joint
+    w -= w.max()
+    np.exp(w, out=w)
     w /= w.sum()
-    pw = np.exp(log_prior - log_prior.max())
+    pw = log_prior
+    pw -= pw.max()
+    np.exp(pw, out=pw)
     pw /= pw.sum()
-    log_ml = np.log(np.sum(pw * np.exp(log_lik - log_lik.max()))) + log_lik.max()
-    return float(np.sum(w * log_lik) - log_ml)
+    top = [t.max() for t in lik]
+    scaled = [np.exp(t - m) for t, m in zip(lik, top)]
+    if n == 1:
+        post_lik = w @ lik[0]
+        evidence = pw @ scaled[0]
+    else:
+        post_lik = w.sum(axis=1) @ lik[0] + w.sum(axis=0) @ lik[1]
+        evidence = scaled[0] @ pw @ scaled[1]
+    # KL(post || prior) = E_post[log lik] - log E_prior[lik]
+    log_ml = np.log(evidence) + sum(top)
+    return float(post_lik - log_ml)
 
 
 def test_criterion_03_lemma1_vs_bruteforce_poisson(capsys):

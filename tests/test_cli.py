@@ -216,6 +216,22 @@ class TestSimstudy:
         ]) == EXIT_USAGE
         assert calls == []
 
+    @pytest.mark.parametrize("line, message", [
+        ("design halton bogus\n", "unknown generator 'bogus'"),
+        ("design halton bogus+rejection\n", "unknown rejection base 'bogus'"),
+    ])
+    def test_unknown_design_rejected_before_first_cell(self, tmp_path, monkeypatch, capsys,
+                                                       line, message):
+        calls = []
+        monkeypatch.setattr(ev, "_replicates", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG.replace("design halton\n", line))
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["criterion KL\n", "M fifty\n", "l_t short\n"])
     def test_usage_error_leaves_no_output_directory(self, tmp_path, line):
         cfg = tmp_path / "s.cfg"
@@ -248,3 +264,32 @@ class TestMaskedPipeline:
         assert code == EXIT_OK
         des = load_design(out)
         assert np.all(is_admissible(des.points, domain))
+
+
+class TestGeneratorTable:
+    def test_every_name_dispatches(self):
+        from lgcp_design import InclusionProbability, discretize, unit_cube
+
+        grid = discretize(unit_cube(), (5, 5, 4))
+        incl = InclusionProbability.constant(0.5)
+        names = set(cli._GENERATORS)
+        assert names == {
+            "random", "halton", "sobol", "fibonacci", "min_dran", "close_pair", "min_dist",
+            "space_fill", "random+rejection", "halton+rejection", "sobol+rejection",
+            "fibonacci+rejection", "space_fill+rejection",
+        }
+        for name in sorted(names):
+            design = cli.generate_design(name, 8, unit_cube(), 3, grid=grid, incl=incl)
+            assert design.points.shape == (8, 3), name
+
+    @pytest.mark.parametrize("name, message", [
+        ("min_dist", "min_dist needs a grid"),
+        ("space_fill", "space_fill needs a candidate grid"),
+        ("halton+rejection", "rejection designs need an inclusion probability"),
+        ("space_fill+rejection", "rejection designs need an inclusion probability"),
+    ])
+    def test_missing_inputs(self, name, message):
+        from lgcp_design import LgcpDesignError, unit_cube
+
+        with pytest.raises(LgcpDesignError, match=message):
+            cli.generate_design(name, 8, unit_cube(), 3)
