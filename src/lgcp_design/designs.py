@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.stats import qmc
 
 from .domain import Domain, from_unit_cube, is_admissible, to_unit_cube, unit_cube
 from .exceptions import DegenerateFieldError, InfeasibleDesignError, LgcpDesignError
@@ -97,6 +96,10 @@ class _Proposals:
         if name == "random":
             self._rng = np.random.default_rng(seed)
         elif name == "sobol":
+            # scipy.stats takes longer to import than the rest of the package;
+            # only Sobol designs need it
+            from scipy.stats import qmc
+
             self._sobol = qmc.Sobol(d=3, scramble=False)
             if offset:
                 self._sobol.fast_forward(offset)

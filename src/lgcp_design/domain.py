@@ -93,10 +93,6 @@ class Grid:
     def N(self) -> int:
         return self.cells.shape[0]
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.domain.widths / np.asarray(self.resolution)))
-
 
 def discretize(domain: Domain, resolution: tuple[int, int, int]) -> Grid:
     """Discretize the domain into a lattice and return admissible cell centers.

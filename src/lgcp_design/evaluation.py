@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from . import gp_gaussian, lgcp
 from .exceptions import LgcpDesignError, NumericalError
@@ -280,10 +280,11 @@ def _cross_cov(post, a, b):
         return model.cov_at(a, b) - Kad @ cho_solve(post.chol, Kdb)
     Kad = model.cov_at(a, post.design_points)
     Kdb = model.cov_at(post.design_points, b)
+    if not (np.isfinite(Kad).all() and np.isfinite(Kdb).all()):
+        raise ValueError("array must not contain infs or NaNs")
     sW = np.sqrt(post.W)
-    L = np.tril(post.chol_B[0])
-    Va = solve_triangular(L, sW[:, None] * Kad.T, lower=True)
-    Vb = solve_triangular(L, sW[:, None] * Kdb, lower=True)
+    Va = lgcp._lower_solve(post.chol_B[0], sW[:, None] * Kad.T)
+    Vb = lgcp._lower_solve(post.chol_B[0], sW[:, None] * Kdb)
     return model.cov_at(a, b) - Va.T @ Vb
 
 

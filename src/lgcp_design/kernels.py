@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .exceptions import LgcpDesignError
 
@@ -97,12 +96,33 @@ def sqexp(distance, spec: KernelSpec):
     return spec.variance * np.exp(-((d / spec.lengthscale) ** 2))
 
 
+def _as_points(p) -> np.ndarray:
+    """p as a float (k, 3) array; a single point becomes one row."""
+    arr = np.atleast_2d(np.asarray(p, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise LgcpDesignError(
+            f"points must be (k, 3) arrays of (s1, s2, t), got shape {arr.shape}"
+        )
+    return arr
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial and temporal distance matrices between point sets a and b."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    ds = cdist(a[:, :2], b[:, :2])
-    dt = cdist(a[:, 2:3], b[:, 2:3], "cityblock")
+    """Spatial and temporal distance matrices between point sets a and b.
+
+    Both are built in place from outer differences. The spatial distance is
+    sqrt(d0*d0 + d1*d1) summed in that order, which is how scipy's cdist
+    rounds it, so the two agree bit for bit.
+    """
+    a = _as_points(a)
+    b = _as_points(b)
+    ds = np.subtract.outer(a[:, 0], b[:, 0])
+    ds *= ds
+    d1 = np.subtract.outer(a[:, 1], b[:, 1])
+    d1 *= d1
+    ds += d1
+    np.sqrt(ds, out=ds)
+    dt = np.subtract.outer(a[:, 2], b[:, 2])
+    np.abs(dt, out=dt)
     return ds, dt
 
 

@@ -143,7 +143,9 @@ class GaussianObs:
 
 def _require_counts(y):
     y = np.asarray(y)
-    if np.any(y < 0) or not np.allclose(y, np.round(y)):
+    # exact equality settles the common case without allclose's cost
+    r = np.round(y)
+    if np.any(y < 0) or not (np.array_equal(y, r) or np.allclose(y, r)):
         raise LgcpDesignError("counts must be nonnegative integers")
 
 
@@ -305,6 +307,17 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     )
 
 
+def _lower_solve(L, rhs):
+    """X with L X = rhs, for a lower Cholesky factor L; rhs may be overwritten.
+
+    It solves (L^T)^T X = rhs, which reads only L's lower triangle and rounds
+    as scipy's solve_triangular(np.tril(L), rhs, lower=True) does; a lower
+    no-transpose solve would round differently. Inputs are not checked for
+    infs or NaNs.
+    """
+    return dtrtrs(L.T, rhs, lower=0, trans=1, overwrite_b=1)[0]
+
+
 def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior=None):
     """Laplace posterior predictive mean and (co)variance at query points."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
@@ -318,11 +331,8 @@ def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior
         raise ValueError("array must not contain infs or NaNs")
     mean = prior_mean + cross
     sW = np.sqrt(post.W)
-    # (K + W^-1)^-1 = W^1/2 B^-1 W^1/2 with B = I + W^1/2 K W^1/2. V solves
-    # L V = W^1/2 Kdq as (L^T)^T V = W^1/2 Kdq, which reads only L's lower
-    # triangle and rounds as scipy's solve_triangular(np.tril(L)) does; a
-    # lower no-transpose solve would round differently
-    V = dtrtrs(post.chol_B[0].T, sW[:, None] * Kqd.T, lower=0, trans=1, overwrite_b=1)[0]
+    # (K + W^-1)^-1 = W^1/2 B^-1 W^1/2 with B = I + W^1/2 K W^1/2
+    V = _lower_solve(post.chol_B[0], sW[:, None] * Kqd.T)
     if want == "full":
         cov = prior_second - V.T @ V
         return mean, cov

@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,23 @@ from lgcp_design.cli import (
     main,
     parse_config,
 )
+
+
+class TestStartup:
+    def test_import_skips_scipy_stats_spatial_sparse(self):
+        # every CLI call pays the import; scipy.stats loads with the first
+        # Sobol design only, and nothing needs scipy.spatial or scipy.sparse
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys, lgcp_design, lgcp_design.cli\n"
+            "print(' '.join(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'spatial'], ['scipy', 'sparse'])))"
+        )
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.split() == []
 
 
 class TestConfigParsing:

@@ -241,6 +241,16 @@ class TestConditioning:
         cross = cond.cov_at(q, q)
         assert np.allclose(full, cross, atol=1e-8)
 
+    def test_cross_cov_rejects_nonfinite_query(self, pois_model):
+        rng = np.random.default_rng(2)
+        X = rng.random((6, 3))
+        cond = condition_on_data(pois_model, X, rng.poisson(2.0, 6).astype(float))
+        q = rng.random((4, 3))
+        q[1, 2] = np.nan
+        for a, b in ((q, X), (X, q)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                cond.cov_at(a, b)
+
 
 class TestCompareDesigns:
     def test_rows_and_reduction(self, pois_model, grid):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from lgcp_design import (
     CovStructure,
@@ -15,6 +16,7 @@ from lgcp_design import (
     sqexp,
     unit_cube,
 )
+from lgcp_design.kernels import _pairwise
 from conftest import random_cov
 
 
@@ -253,3 +255,62 @@ class TestTabulatedMeanLookup:
                 mean_eval(np.vstack([grid.cells[:3], q]), m)
             with pytest.raises(LgcpDesignError):
                 _tabulated_reference(grid, np.zeros(grid.N), q[None, :])
+
+
+class TestPairwiseMatchesCdist:
+    """_pairwise rounds as scipy's cdist does, bit for bit."""
+
+    @staticmethod
+    def _assert_cdist(a, b):
+        ds, dt = _pairwise(a, b)
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
+        assert np.array_equal(ds, cdist(a[:, :2], b[:, :2]))
+        assert np.array_equal(dt, cdist(a[:, 2:3], b[:, 2:3], "cityblock"))
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            a = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 80)), 3))
+            b = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 80)), 3))
+            self._assert_cdist(a, b)
+            self._assert_cdist(a, a)
+
+    def test_single_row_and_single_column(self):
+        rng = np.random.default_rng(12)
+        for k in (1, 2, 37):
+            one, many = rng.random((1, 3)), rng.random((k, 3))
+            self._assert_cdist(one, many)
+            self._assert_cdist(many, one)
+        self._assert_cdist(point(0.1, 0.2, 0.3), rng.random((5, 3)))
+
+    def test_negative_and_large_coordinates(self):
+        rng = np.random.default_rng(13)
+        for scale in (1e-6, 1e3, 1e8):
+            a = rng.normal(0.0, scale, (50, 3)) - 2.0 * scale
+            b = rng.normal(0.0, scale, (40, 3)) + scale
+            self._assert_cdist(a, b)
+
+    def test_masked_domain_grid(self):
+        mask = np.ones((4, 3, 5), dtype=bool)
+        mask[:2, :2, :] = False
+        domain = Domain(np.array([[-1.0, 3.0], [10.0, 11.5], [0.0, 2.0]]), mask)
+        grid = discretize(domain, (6, 5, 7))
+        rng = np.random.default_rng(14)
+        self._assert_cdist(grid.cells, grid.cells)
+        self._assert_cdist(grid.cells, grid.cells[rng.choice(grid.N, 9)])
+
+
+class TestPointShape:
+    @pytest.mark.parametrize("cols", [2, 4])
+    def test_wrong_column_count_rejected(self, additive_cov, cols):
+        # a fourth column would otherwise be ignored without a word
+        good = np.random.default_rng(15).random((6, 3))
+        bad = np.random.default_rng(16).random((6, cols))
+        for a, b in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(LgcpDesignError, match="k, 3"):
+                cov_matrix(a, b, additive_cov)
+
+    def test_integer_points_are_cast(self, additive_cov):
+        ints = np.array([[0, 1, 2], [3, 1, 0]])
+        assert np.array_equal(cov_matrix(ints, ints, additive_cov),
+                              cov_matrix(ints.astype(float), ints.astype(float), additive_cov))

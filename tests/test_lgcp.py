@@ -87,6 +87,12 @@ class TestObservationModels:
             Poisson().check_counts(np.array([1.0, -2.0]))
         with pytest.raises(LgcpDesignError):
             Poisson().check_counts(np.array([1.5]))
+        for y in ([2.5], [1.0, np.nan], [3.0, 2.0 + 1e-3]):
+            with pytest.raises(LgcpDesignError, match="nonnegative integers"):
+                NegativeBinomial(2.0).check_counts(np.array(y))
+        # the exact test fails here and allclose still accepts it
+        Poisson().check_counts(np.array([3.0 + 1e-12, 0.0]))
+        Poisson().check_counts(np.arange(50.0))
         GaussianObs(1.0).check_counts(np.array([-1.5]))  # reals allowed
 
 
@@ -497,6 +503,20 @@ def _replicate(model, X, j, seed=0):
     f = sample_prior(model, X, 1, np.random.SeedSequence(seed, spawn_key=(j, 0)))[0]
     counts = sample_counts(model, f, np.random.SeedSequence(seed, spawn_key=(j, 1)))
     return np.asarray(counts, dtype=float)
+
+
+class TestLowerSolve:
+    @pytest.mark.parametrize("cols", [1, 7, 120])
+    def test_matches_solve_triangular_of_tril(self, cols):
+        rng = np.random.default_rng(cols)
+        A = rng.normal(size=(60, 60))
+        L = np.linalg.cholesky(A @ A.T + 60 * np.eye(60))
+        # dpotrf leaves the input's upper triangle in place; it must not be read
+        L[np.triu_indices(60, 1)] = rng.normal(size=60 * 59 // 2)
+        rhs = rng.normal(size=(60, cols))
+        ref = solve_triangular(np.tril(L), rhs, lower=True)
+        for b in (rhs.copy(), np.asfortranarray(rhs)):
+            assert np.array_equal(lgcp._lower_solve(L, b), ref)
 
 
 class TestNewtonMatchesReference:
