@@ -80,6 +80,44 @@ def _van_der_corput(i: np.ndarray, base: int) -> np.ndarray:
     return v
 
 
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(bits):
+    """Direction numbers of the first three Sobol dimensions, one row per bit.
+
+    Joe & Kuo's: every m_k = 1 in dimension 1; s = 1, a = 0, m = (1) in
+    dimension 2; s = 2, a = 1, m = (1, 3) in dimension 3. Later m_k follow
+    m_k = m_{k-s} ^ (m_{k-s} << s) ^ XOR_{t<s} a_t (m_{k-t} << t), with a_t
+    bit s-1-t of a; v_k = m_k << (bits - k).
+    """
+    m = np.ones((bits, 3), dtype=np.int64)
+    for d, (s, a, m0) in ((1, (1, 0, (1,))), (2, (2, 1, (1, 3)))):
+        m[:s, d] = m0
+        for k in range(s, bits):
+            mk = m[k - s, d] ^ (m[k - s, d] << s)
+            for t in range(1, s):
+                if (a >> (s - 1 - t)) & 1:
+                    mk ^= m[k - t, d] << t
+            m[k, d] = mk
+    return m << (bits - 1 - np.arange(bits))[:, None]
+
+
+_SOBOL_V = _sobol_directions(_SOBOL_BITS)
+
+
+def _sobol(i: np.ndarray) -> np.ndarray:
+    """Points i of the unscrambled 3-D Sobol sequence in Gray-code order,
+    bit for bit those of scipy's ``qmc.Sobol(d=3, scramble=False)``."""
+    if i.size and i[-1] >= 1 << _SOBOL_BITS:
+        raise LgcpDesignError(f"at most 2**{_SOBOL_BITS} Sobol points can be generated")
+    gray = i ^ (i >> 1)
+    x = np.zeros((i.size, 3), dtype=np.int64)
+    for k in range(int(gray.max(initial=0)).bit_length()):
+        x ^= ((gray >> k) & 1)[:, None] * _SOBOL_V[k]
+    return x * 2.0**-_SOBOL_BITS
+
+
 class _Proposals:
     """Admissible domain points of one base sequence, in sequence order.
 
@@ -95,14 +133,6 @@ class _Proposals:
         self._misses = 0  # masked proposals since the last admissible one
         if name == "random":
             self._rng = np.random.default_rng(seed)
-        elif name == "sobol":
-            # scipy.stats takes longer to import than the rest of the package;
-            # only Sobol designs need it
-            from scipy.stats import qmc
-
-            self._sobol = qmc.Sobol(d=3, scramble=False)
-            if offset:
-                self._sobol.fast_forward(offset)
         elif name == "fibonacci":
             # rank-1 golden-ratio lattice; first axis strides 1/n_hint
             self._g = np.array([1.0 / max(n_hint, 1), 1.0 / _PHI, 1.0 / _PHI**2])
@@ -111,13 +141,10 @@ class _Proposals:
         """The next k raw proposals, as a (k, 3) unit-cube array."""
         if self._name == "random":
             return self._rng.random((k, 3))
-        if self._name == "sobol":
-            if self._sobol.num_generated == 0 and k > 1:
-                # scipy warns unless a fresh generator's first draw is a power of 2
-                return np.vstack([self._sobol.random(1), self._sobol.random(k - 1)])
-            return self._sobol.random(k)
         i = np.arange(self._index, self._index + k)
         self._index += k
+        if self._name == "sobol":
+            return _sobol(i)
         if self._name == "halton":
             # index starts at 1: base-2 sequence begins 1/2, 1/4, 3/4, ...
             return np.column_stack([_van_der_corput(i + 1, b) for b in (2, 3, 5)])

@@ -42,13 +42,16 @@ class UtilityEstimate:
     M: int
     replicates: np.ndarray = field(repr=False)
     design_provenance: dict = field(default_factory=dict)
+    n_failed: int = 0  # replicates dropped for a NumericalError; M + n_failed were run
 
 
-def _summarize(criterion, replicates, provenance) -> UtilityEstimate:
+def _summarize(criterion, replicates, provenance, n_failed=0) -> UtilityEstimate:
     reps = np.asarray(replicates, dtype=float)
     M = reps.size
     se = float(np.std(reps, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return UtilityEstimate(criterion, float(np.mean(reps)), se, M, reps, dict(provenance))
+    return UtilityEstimate(
+        criterion, float(np.mean(reps)), se, M, reps, dict(provenance), n_failed
+    )
 
 
 def _is_gaussian(model) -> bool:
@@ -136,7 +139,8 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     SeedSequence(seed, spawn_key=(j, 0)), counts for set d from
     spawn_key=count_key(j, d), and fits each set once. Returns an array of
     shape (sets, criteria, M), NaN where a (set, replicate) cell failed, and
-    the number of failed cells; a cell fills all its criteria or none.
+    the number of failed cells of each set; a cell fills all its criteria or
+    none.
 
     The prior factor of the union and each set's prior terms do not depend
     on the replicate, so they are built once, before the replicate loop; the
@@ -149,14 +153,14 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     try:
         factor = gp_gaussian._prior_factor(model, union)
     except NumericalError:
-        return out, M * len(point_sets)
+        return out, np.full(len(point_sets), M)
     terms = []
     for pts in point_sets:
         try:
             terms.append(_prior_terms(model, pts, criteria, grid))
         except NumericalError:
             terms.append(None)
-    failures = 0
+    failures = np.zeros(len(point_sets), dtype=int)
     for j in range(M):
         draw_seed = np.random.SeedSequence(seed, spawn_key=(j, 0))
         f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed, _factor=factor)[0]
@@ -165,12 +169,12 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
             counts_seed = np.random.SeedSequence(seed, spawn_key=count_key(j, d))
             y = np.asarray(lgcp.sample_counts(model, f, counts_seed), dtype=float)
             if terms[d] is None:
-                failures += 1
+                failures[d] += 1
                 continue
             try:
                 out[d, :, j] = _criteria_values(model, pts, y, criteria, grid, terms[d])
             except NumericalError:
-                failures += 1
+                failures[d] += 1
     return out, failures
 
 
@@ -199,7 +203,7 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     reps, failures = _replicates(
         model, [points], [criterion], grid, M, seed, lambda j, d: (j, 1)
     )
-    return _finalize(criterion, reps[0, 0], failures, M, provenance)
+    return _finalize(criterion, reps[0, 0], int(failures[0]), M, provenance)
 
 
 def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
@@ -211,7 +215,7 @@ def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
     if points.shape[0] == 0:
         return _summarize("kl", np.zeros(M), provenance)
     reps, failures = _replicates(model, [points], ["kl"], None, M, seed, lambda j, d: (j, 1))
-    return _finalize("kl", reps[0, 0], failures, M, provenance)
+    return _finalize("kl", reps[0, 0], int(failures[0]), M, provenance)
 
 
 def _finalize(criterion, reps, failures, M, provenance) -> UtilityEstimate:
@@ -221,7 +225,7 @@ def _finalize(criterion, reps, failures, M, provenance) -> UtilityEstimate:
         )
     if failures:
         reps = reps[np.isfinite(reps)]
-    return _summarize(criterion, reps, provenance)
+    return _summarize(criterion, reps, provenance, failures)
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +286,7 @@ def _cross_cov(post, a, b):
     Kdb = model.cov_at(post.design_points, b)
     if not (np.isfinite(Kad).all() and np.isfinite(Kdb).all()):
         raise ValueError("array must not contain infs or NaNs")
-    sW = np.sqrt(post.W)
-    Va = lgcp._lower_solve(post.chol_B[0], sW[:, None] * Kad.T)
-    Vb = lgcp._lower_solve(post.chol_B[0], sW[:, None] * Kdb)
+    Va, Vb = lgcp._whiten(post, Kad.T, Kdb)
     return model.cov_at(a, b) - Va.T @ Vb
 
 
@@ -322,7 +324,8 @@ def compare_designs(
     failed fit drops that replicate from every criterion of its design.
 
     Returns a list of row dicts with keys design_name, criterion, estimate,
-    std_error, M, reduction_vs_base_pct, replicates.
+    std_error, M, n_failed (the design's failed replicates), reduction_vs_base_pct,
+    replicates.
     """
     for c in criteria:
         if c not in CRITERIA:
@@ -336,8 +339,8 @@ def compare_designs(
         model, [designs[name].points for name in names], criteria, grid, M, seed,
         lambda j, d: (j, 1, d),
     )
-    if failures > REPLICATE_FAIL_FRACTION * M * len(names):
-        raise NumericalError(f"{failures} replicate fits failed across designs")
+    if failures.sum() > REPLICATE_FAIL_FRACTION * M * len(names):
+        raise NumericalError(f"{failures.sum()} replicate fits failed across designs")
 
     rows = []
     for d, name in enumerate(names):
@@ -361,6 +364,7 @@ def compare_designs(
                     "estimate": est.value,
                     "std_error": est.std_error,
                     "M": est.M,
+                    "n_failed": int(failures[d]),
                     "reduction_vs_base_pct": reduction,
                     "replicates": reps[d, k],
                 }

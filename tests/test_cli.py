@@ -22,11 +22,12 @@ from lgcp_design.cli import (
 
 class TestStartup:
     def test_import_skips_scipy_stats_spatial_sparse(self):
-        # every CLI call pays the import; scipy.stats loads with the first
-        # Sobol design only, and nothing needs scipy.spatial or scipy.sparse
+        # every CLI call pays the import; no design, Sobol's included, needs
+        # scipy.stats, and nothing needs scipy.spatial or scipy.sparse
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys, lgcp_design, lgcp_design.cli\n"
+            "lgcp_design.sobol(64)\n"
             "print(' '.join(m for m in sys.modules"
             " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'spatial'], ['scipy', 'sparse'])))"
         )

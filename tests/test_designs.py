@@ -104,6 +104,21 @@ class TestSobol:
         ref = qmc.Sobol(d=3, scramble=False).random(8)
         assert np.allclose(pts, ref)
 
+    @pytest.mark.parametrize("offset", [0, 1, 7, 150, 1000])
+    def test_bitwise_scipy(self, offset):
+        gen = qmc.Sobol(d=3, scramble=False)
+        if offset:
+            gen.fast_forward(offset)
+        ref = gen.random(4096)
+        assert np.array_equal(dsg._sobol(np.arange(offset, offset + 4096)), ref)
+        assert np.array_equal(sobol(300, offset=offset).points, ref[:300])
+
+    def test_sequence_length_limit(self):
+        # the 30-bit sequence has 2**30 points, as in scipy
+        assert sobol(5, offset=2**30 - 5).n == 5
+        with pytest.raises(LgcpDesignError, match="at most 2\\*\\*30 Sobol points"):
+            sobol(6, offset=2**30 - 5)
+
     def test_offset(self):
         full = sobol(16).points
         tail = sobol(8, offset=8).points

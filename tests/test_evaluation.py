@@ -171,6 +171,27 @@ class TestFailurePolicy:
         est = expected_apv(pois_model, halton(10), grid, 40, target="latent")
         assert est.M == 39
 
+    @pytest.mark.parametrize("criterion", ["apv_latent", "kl"])
+    def test_failed_replicates_are_counted(self, pois_model, grid, monkeypatch, criterion):
+        real = ev.lgcp.fit_lgcp
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] == 4:
+                raise NumericalError("forced once")
+            return real(*args, **kwargs)
+
+        estimate = {
+            "apv_latent": lambda: expected_apv(pois_model, halton(10), grid, 40, target="latent"),
+            "kl": lambda: expected_kl(pois_model, halton(10), 40),
+        }[criterion]
+        assert estimate().n_failed == 0
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", flaky)
+        est = estimate()
+        assert est.n_failed == 1
+        assert est.M + est.n_failed == 40
+
     def test_union_factor_failure_fails_every_cell(self, pois_model, grid, monkeypatch):
         def singular(mat, jitter):
             raise NumericalError("forced")
@@ -295,6 +316,7 @@ class TestCompareDesigns:
         for r in rows:
             assert len(r["replicates"]) == 20
             assert r["M"] == (19 if r["design_name"] == "a" else 20)
+            assert r["n_failed"] == 20 - r["M"]
         a_reps = [r["replicates"] for r in rows if r["design_name"] == "a"]
         assert all(np.isnan(reps[1]) for reps in a_reps)
 
@@ -500,3 +522,34 @@ class TestComparisonCsv:
         assert lines[1] == "design_name,criterion,estimate,std_error,M,reduction_vs_base_pct"
         assert lines[2].startswith("halton,kl,1.25,")
         assert lines[3].endswith("-20")
+
+
+class TestNoVarianceClamp:
+    def test_compare_n50_seed_0(self, pois_model, monkeypatch):
+        # the benchmark's compare_n50 run at seed 0: demo 03's designs at n = 50
+        # and the paper's model; every posterior variance comes out positive
+        from lgcp_design.cli import generate_design
+
+        model = pois_model
+        dom = unit_cube()
+        grid = discretize(dom, (10, 10, 8))
+        incl = InclusionProbability.build("scaled_latent_mean", model, grid)
+        designs = {
+            "random": generate_design("random", 50, dom, 11),
+            "random+rejection": generate_design("random+rejection", 50, dom, 11, incl=incl),
+            "halton": generate_design("halton", 50, dom, 11),
+            "halton+rejection": generate_design("halton+rejection", 50, dom, 11, incl=incl),
+            "coffee-house": generate_design("space_fill", 50, dom, 11, grid=grid),
+        }
+        real = ev.lgcp._clamp_variances
+        negative = []
+
+        def record(var):
+            negative.append(int(np.sum(var < 0)))
+            return real(var)
+
+        monkeypatch.setattr(ev.lgcp, "_clamp_variances", record)
+        rows = compare_designs(model, designs, ["apv_intensity", "kl"], grid, 60, seed=123)
+        # each successful fit predicts on the grid and at its design points
+        assert len(negative) == 2 * sum(r["M"] for r in rows if r["criterion"] == "kl")
+        assert sum(negative) == 0
