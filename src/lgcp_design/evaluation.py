@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import gp_gaussian, lgcp
 from .exceptions import LgcpDesignError, NumericalError
@@ -58,22 +57,6 @@ def _is_gaussian(model) -> bool:
     return isinstance(model.obs, GaussianObs)
 
 
-# ``private`` passes a caller's ``_prior`` terms on; without them the call is
-# exactly the public one
-
-
-def _fit(model, points, y, **private):
-    if _is_gaussian(model):
-        return gp_gaussian.fit_gaussian(model, points, y, **private)
-    return lgcp.fit_lgcp(model, points, y, **private)
-
-
-def _predict(post, query, want="marginal", **private):
-    if isinstance(post, gp_gaussian.GaussianPosterior):
-        return gp_gaussian.predict(post, query, want=want, **private)
-    return lgcp.laplace_predict(post, query, want=want, **private)
-
-
 def _apv_value(mean, var, target) -> float:
     if target == "latent":
         return float(np.mean(var))
@@ -118,9 +101,9 @@ def _criteria_values(model, points, y, criteria, grid, terms) -> list[float]:
     gaussian = _is_gaussian(model)
     apv = any(c != "kl" for c in criteria)
     # the Gaussian KL has a closed form that needs no fit
-    post = _fit(model, points, y, _prior=fit_prior) if apv or not gaussian else None
+    post = lgcp.fit_lgcp(model, points, y, _prior=fit_prior) if apv or not gaussian else None
     if apv:
-        mean, var = _predict(post, grid.cells, _prior=grid_prior)
+        mean, var = lgcp.laplace_predict(post, grid.cells, _prior=grid_prior)
     values = []
     for c in criteria:
         if c != "kl":
@@ -197,8 +180,8 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     # intensity variance depends on the posterior mean, which does vary with
     # the data, so only the latent target has a Gaussian shortcut
     if _is_gaussian(model) and target == "latent":
-        post = _fit(model, points, model.mean_at(points))
-        mean, var = _predict(post, grid.cells)
+        post = lgcp.fit_lgcp(model, points, model.mean_at(points))
+        mean, var = lgcp.laplace_predict(post, grid.cells)
         return _summarize(criterion, np.full(M, _apv_value(mean, var, target)), provenance)
     reps, failures = _replicates(
         model, [points], [criterion], grid, M, seed, lambda j, d: (j, 1)
@@ -246,17 +229,17 @@ class ConditionedModel:
         self.obs = base_model.obs
 
     def mean_at(self, points):
-        mean, _ = _predict(self.posterior, points)
+        mean, _ = lgcp.laplace_predict(self.posterior, points)
         return mean
 
     def cov_at(self, a, b=None):
         if b is None:
-            _, cov = _predict(self.posterior, a, want="full")
+            _, cov = lgcp.laplace_predict(self.posterior, a, want="full")
             return cov
         return _cross_cov(self.posterior, a, b)
 
     def var_at(self, points):
-        _, var = _predict(self.posterior, points)
+        _, var = lgcp.laplace_predict(self.posterior, points)
         return var
 
     @property
@@ -271,17 +254,13 @@ class ConditionedModel:
 def _moments_at(model, points):
     """Latent mean and marginal variance at points, from one prediction."""
     if isinstance(model, ConditionedModel):
-        return _predict(model.posterior, points)
+        return lgcp.laplace_predict(model.posterior, points)
     return np.asarray(model.mean_at(points), dtype=float), prior_marginal_var(model, points)
 
 
 def _cross_cov(post, a, b):
     """Posterior cross-covariance between two query sets."""
     model = post.model
-    if isinstance(post, gp_gaussian.GaussianPosterior):
-        Kad = model.cov_at(a, post.train_points)
-        Kdb = model.cov_at(post.train_points, b)
-        return model.cov_at(a, b) - Kad @ cho_solve(post.chol, Kdb)
     Kad = model.cov_at(a, post.design_points)
     Kdb = model.cov_at(post.design_points, b)
     if not (np.isfinite(Kad).all() and np.isfinite(Kdb).all()):
@@ -295,7 +274,7 @@ def condition_on_data(model, existing_points, existing_y):
     points = np.atleast_2d(np.asarray(existing_points, dtype=float))
     if points.size == 0:
         return model
-    post = _fit(model, points, np.asarray(existing_y, dtype=float))
+    post = lgcp.fit_lgcp(model, points, np.asarray(existing_y, dtype=float))
     return ConditionedModel(model, post)
 
 

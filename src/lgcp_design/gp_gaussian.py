@@ -1,15 +1,16 @@
-"""Exact Gaussian-process inference under a Gaussian observation model,
+"""Gaussian-process prior terms, prior sampling, and the closed-form KL
+divergence of the Gaussian observation model,
 ``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
 
-All solves go through Cholesky factorizations; explicit inverses are never
-formed. Negative predicted variances arising from cancellation are clamped
-to zero, and a clamp rate above 0.1% of queries raises NumericalError
-instead of being hidden.
+Fitting and prediction under every observation model, the Gaussian one
+included, are ``lgcp.fit_lgcp`` and ``lgcp.laplace_predict``; the prior
+terms and the variance clamp they use live here. All solves go through
+Cholesky factorizations. Negative predicted variances arising from
+cancellation are clamped to zero, and a clamp rate above 0.1% of queries
+raises NumericalError instead of being hidden.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -20,9 +21,6 @@ from .exceptions import LgcpDesignError, NumericalError
 from .kernels import JITTER_SCALE, CovStructure, cov_matrix  # noqa: F401
 
 __all__ = [
-    "GaussianPosterior",
-    "fit_gaussian",
-    "predict",
     "prior_predict",
     "sample_prior",
     "kl_gaussian_closed_form",
@@ -50,18 +48,6 @@ def _clamp_variances(var: np.ndarray) -> np.ndarray:
     return var
 
 
-@dataclass(frozen=True)
-class GaussianPosterior:
-    """Fitted exact GP posterior; immutable and safe for concurrent queries."""
-
-    model: object
-    train_points: np.ndarray
-    y: np.ndarray
-    alpha: np.ndarray = field(repr=False)  # (K + sigma^2 I)^-1 (y - mu)
-    chol: tuple = field(repr=False)
-    log_marginal: float = 0.0
-
-
 def _fit_prior(model, X):
     """Prior covariance (without jitter) and mean at design points X.
 
@@ -81,47 +67,6 @@ def _query_prior(model, Xq, X, want):
     """
     second = model.cov_at(Xq) if want == "full" else prior_marginal_var(model, Xq)
     return model.cov_at(Xq, X), model.mean_at(Xq), second
-
-
-def fit_gaussian(model, design_points, y, _prior=None) -> GaussianPosterior:
-    """Fit the exact Gaussian posterior on the given design points.
-
-    ``design_points`` is an (n, 3) array; ``y`` the observation vector.
-    """
-    X = np.atleast_2d(np.asarray(design_points, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    if y.shape != (n,) or n < 1:
-        raise LgcpDesignError("y must have one entry per design point")
-    K, mu = _fit_prior(model, X) if _prior is None else _prior
-    Ky = K + model.noise_variance * np.eye(n)
-    chol = _chol(Ky, model.jitter)
-    resid = y - mu
-    alpha = cho_solve(chol, resid)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
-    log_marginal = -0.5 * (resid @ alpha + log_det + n * np.log(2.0 * np.pi))
-    return GaussianPosterior(model, X, y, alpha, chol, float(log_marginal))
-
-
-def predict(post: GaussianPosterior, query, want: str = "marginal", _prior=None):
-    """Posterior predictive mean and variance at query points.
-
-    ``want`` is "marginal" for per-point variances or "full" for the joint
-    covariance matrix.
-    """
-    Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    Kqd, prior_mean, prior_second = (
-        _query_prior(post.model, Xq, post.train_points, want) if _prior is None else _prior
-    )
-    mean = prior_mean + Kqd @ post.alpha
-    V = cho_solve(post.chol, Kqd.T)
-    if want == "full":
-        cov = prior_second - Kqd @ V
-        return mean, cov
-    if want != "marginal":
-        raise LgcpDesignError(f"unknown prediction kind {want!r}")
-    var = prior_second - np.sum(Kqd * V.T, axis=1)
-    return mean, _clamp_variances(var)
 
 
 def prior_marginal_var(model, query) -> np.ndarray:

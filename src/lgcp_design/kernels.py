@@ -42,8 +42,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("matern32", "sqexp"):
             raise LgcpDesignError(f"unknown kernel family {self.family!r}")
-        if self.lengthscale <= 0 or self.variance <= 0:
-            raise LgcpDesignError("lengthscale and variance must be positive")
+        if not (0 < self.lengthscale < np.inf and 0 < self.variance < np.inf):
+            raise LgcpDesignError("lengthscale and variance must be positive and finite")
 
     def __call__(self, distance):
         if self.family == "matern32":

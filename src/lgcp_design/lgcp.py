@@ -1,14 +1,17 @@
 """Log-Gaussian Cox process inference via Newton MAP and Laplace approximation.
 
 Supports Poisson, Negative-Binomial, and Gaussian observation models behind a
-single interface. The Laplace posterior uses the numerically stable
-B = I + W^{1/2} K W^{1/2} parameterization, which is the Woodbury form of
-(K + W^-1)^-1 and remains valid as W -> 0.
+single interface: ``fit_lgcp`` and ``laplace_predict`` serve all three, and
+for Gaussian observations the Laplace posterior is the exact GP posterior.
+The Laplace posterior uses the numerically stable B = I + W^{1/2} K W^{1/2}
+parameterization, which is the Woodbury form of (K + W^-1)^-1 and remains
+valid as W -> 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -79,10 +82,11 @@ class NegativeBinomial:
     volumes: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise LgcpDesignError("dispersion r must be positive")
-        if np.any(np.asarray(self.volumes) <= 0):
-            raise LgcpDesignError("volumes must be positive")
+        if not 0 < self.r < np.inf:
+            raise LgcpDesignError("dispersion r must be positive and finite")
+        volumes = np.asarray(self.volumes)
+        if not np.all((0 < volumes) & (volumes < np.inf)):
+            raise LgcpDesignError("volumes must be positive and finite")
 
     def _mean(self, f):
         return np.asarray(self.volumes) * np.exp(f)
@@ -122,8 +126,8 @@ class GaussianObs:
     noise_variance: float
 
     def __post_init__(self):
-        if self.noise_variance <= 0:
-            raise LgcpDesignError("noise_variance must be positive")
+        if not 0 < self.noise_variance < np.inf:
+            raise LgcpDesignError("noise_variance must be positive and finite")
 
     def loglik(self, y, f):
         s2 = self.noise_variance
@@ -200,6 +204,19 @@ class LatentPosterior:
     halvings: int = 0  # line-search step halvings over all iterations
     grad_max: float = float("nan")  # max |gradient| of the log posterior at f_hat
 
+    @cached_property
+    def _whitener(self):
+        """M = L^-1 W^1/2, L the lower Cholesky factor of B, formed on first
+        use and kept, so that every prediction from this posterior shares it.
+
+        dtrtri reads only L's lower triangle; M's strict upper triangle holds
+        B's entries as dpotrf left them, and dtrmm does not read it.
+        """
+        # L's diagonal is at least 1, so dtrtri cannot report a singular factor
+        M = dtrtri(self.chol_B[0], lower=1)[0]
+        M *= np.sqrt(self.W)[None, :]
+        return M
+
 
 def _newton_objective(obs, y, f, mu, alpha):
     # log posterior up to the constant -0.5 log|2 pi K|; trial steps can
@@ -240,8 +257,13 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     ``LINE_SEARCH_HALVINGS`` tried steps fail is the next, untried, halved
     step taken without a test. Converges when the gradient of the exact log
     posterior has max-norm below 1e-8; non-convergence raises
-    NumericalError. The posterior records the iteration count, the total
-    number of step halvings and the final gradient max-norm.
+    NumericalError. A Gaussian likelihood instead stops after the first full
+    Newton step the line search accepts: W = 1/sigma^2 does not depend on f,
+    so the log posterior is quadratic and that step lands on its exact mode
+    (Alg. 3.1 and sec. 3.4), while the roundoff of further iterates exceeds
+    the tolerance once sigma^2 is small. The posterior records the iteration
+    count, the total number of step halvings and the gradient max-norm at
+    the returned iterate.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -250,6 +272,7 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
         raise LgcpDesignError("y must have one entry per design point")
     obs = model.obs
     obs.check_counts(y)
+    quadratic = isinstance(obs, GaussianObs)
 
     K, mu = _fit_prior(model, X) if _prior is None else _prior
     K = K + model.jitter * np.eye(n)
@@ -294,10 +317,16 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
             step *= 0.5
             halvings += 1
         alpha, f, obj = alpha_try, f_try, obj_try
+        if quadratic and k == 0:
+            # the full step lands on the mode of a quadratic log posterior
+            grad_max = float(np.max(np.abs(obs.grad(y, f) - alpha)))
+            converged = True
+            break
     if not converged:
         raise NumericalError(f"Newton MAP did not converge in {NEWTON_MAX_ITER} iterations")
 
-    # W is the Hessian at the final f, computed by the converged iteration
+    # W is the Hessian at the final f, computed by the last iteration (a
+    # Gaussian W is the same at every f)
     chol_B = (_factor_B(K, np.sqrt(W)), True)
     log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B[0])))
     # obj is the log posterior at (f, alpha), so this is the Laplace
@@ -313,18 +342,13 @@ def _whiten(post, *cross):
     factor of B = I + W^1/2 K W^1/2, so that (K + W^-1)^-1 = W^1/2 B^-1 W^1/2
     gives X^T (K + W^-1)^-1 Y as the product of two of them.
 
-    M = L^-1 W^1/2 is formed once with dtrtri (n^3/6 flops) and applied to
-    each X with dtrmm, which runs at matrix-multiply speed where a triangular
-    solve does not. The explicit inverse is safe: B >= I, so every singular
-    value of L is at least 1 and ||L^-1||_2 <= 1 (Higham 2002, ch. 8 and 14).
-    dtrtri and dtrmm read only lower triangles, and M's strict upper triangle
-    holds B's entries as dpotrf left them. Inputs are not checked for infs
-    or NaNs.
+    M = L^-1 W^1/2 is formed once per posterior with dtrtri (n^3/6 flops) and
+    applied to each X with dtrmm, which runs at matrix-multiply speed where a
+    triangular solve does not. The explicit inverse is safe: B >= I, so every
+    singular value of L is at least 1 and ||L^-1||_2 <= 1 (Higham 2002, ch. 8
+    and 14). Inputs are not checked for infs or NaNs.
     """
-    # L's diagonal is at least 1, so dtrtri cannot report a singular factor
-    M = dtrtri(post.chol_B[0], lower=1)[0]
-    M *= np.sqrt(post.W)[None, :]
-    return [dtrmm(1.0, M, X, lower=1) for X in cross]
+    return [dtrmm(1.0, post._whitener, X, lower=1) for X in cross]
 
 
 def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior=None):

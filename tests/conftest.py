@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from lgcp_design import CovStructure, KernelSpec, MeanFunction
 
@@ -40,3 +41,20 @@ def random_cov(rng):
         float(rng.uniform(0.3, 3.0)),
     )
     return CovStructure(mode, spatial, temporal)
+
+
+def dense_gaussian_posterior(model, X, y, query):
+    """Exact GP posterior of a Gaussian observation model by (K + sigma^2 I)
+    solves: the mean and full covariance at the query points, and the log
+    marginal likelihood. K carries the model's jitter, as fits do."""
+    n = X.shape[0]
+    noisy = cho_factor(
+        model.cov_at(X) + (model.jitter + model.noise_variance) * np.eye(n), lower=True
+    )
+    Kqd = model.cov_at(query, X)
+    resid = y - model.mean_at(X)
+    mean = model.mean_at(query) + Kqd @ cho_solve(noisy, resid)
+    cov = model.cov_at(query) - Kqd @ cho_solve(noisy, Kqd.T)
+    log_det = 2.0 * np.sum(np.log(np.diag(noisy[0])))
+    log_marginal = -0.5 * (resid @ cho_solve(noisy, resid) + log_det + n * np.log(2.0 * np.pi))
+    return mean, cov, log_marginal

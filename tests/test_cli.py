@@ -134,6 +134,18 @@ class TestDesignCommand:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--obs-sigma2", "--obs-r"])
+    def test_non_finite_observation_parameter_usage_error(self, tmp_path, flag):
+        design_csv = tmp_path / "d.csv"
+        assert main([
+            "design", "--generator", "halton", "--n", "5", "--out", str(design_csv),
+        ]) == EXIT_OK
+        obs = "gaussian" if flag == "--obs-sigma2" else "negbin"
+        assert main([
+            "evaluate", "--design", str(design_csv), "--obs", obs, flag, "nan",
+            "--M", "4", "--out", str(tmp_path / "e.csv"),
+        ]) == EXIT_USAGE
+
     def test_missing_mask_io_error(self, tmp_path):
         code = main([
             "design", "--generator", "random", "--n", "5",

@@ -17,14 +17,12 @@ from lgcp_design import (
     discretize,
     expected_apv,
     expected_kl,
-    fit_gaussian,
     fit_lgcp,
     halton,
     intensity_moments,
     kl_gaussian_closed_form,
     kl_lemma1,
     laplace_predict,
-    predict,
     random_design,
     rejection_wrap,
     sample_counts,
@@ -32,6 +30,7 @@ from lgcp_design import (
     unit_cube,
     write_comparison_csv,
 )
+from conftest import dense_gaussian_posterior
 
 
 @pytest.fixture
@@ -262,6 +261,19 @@ class TestConditioning:
         cross = cond.cov_at(q, q)
         assert np.allclose(full, cross, atol=1e-8)
 
+    def test_gaussian_matches_dense_posterior(self, gauss_model):
+        rng = np.random.default_rng(3)
+        X = halton(20).points
+        y = gauss_model.mean_at(X) + rng.normal(size=20)
+        cond = condition_on_data(gauss_model, X, y)
+        a, b = rng.random((6, 3)), rng.random((4, 3))
+        mean, cov, _ = dense_gaussian_posterior(gauss_model, X, y, np.vstack([a, b]))
+        tol = 1e-13 * gauss_model.cov.total_variance
+        assert np.allclose(cond.mean_at(a), mean[:6], rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(cond.var_at(a) - np.diag(cov)[:6]) <= tol)
+        assert np.all(np.abs(cond.cov_at(a) - cov[:6, :6]) <= tol)
+        assert np.all(np.abs(cond.cov_at(a, b) - cov[:6, 6:]) <= tol)
+
     def test_cross_cov_rejects_nonfinite_query(self, pois_model):
         rng = np.random.default_rng(2)
         X = rng.random((6, 3))
@@ -433,8 +445,8 @@ class TestSeedScheme:
             f = sample_prior(gauss_model, design.points, 1, draw_seed)[0]
             counts_seed = np.random.SeedSequence(9, spawn_key=(j, 1))
             y = sample_counts(gauss_model, f, counts_seed)
-            post = fit_gaussian(gauss_model, design.points, y)
-            _, ivar = intensity_moments(*predict(post, grid.cells))
+            post = fit_lgcp(gauss_model, design.points, y)
+            _, ivar = intensity_moments(*laplace_predict(post, grid.cells))
             assert apv.replicates[j] == float(np.mean(ivar))
             assert kl.replicates[j] == kl_gaussian_closed_form(gauss_model, design.points, y)
 

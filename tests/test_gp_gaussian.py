@@ -1,3 +1,6 @@
+"""The Gaussian observation model: its exact posterior through fit_lgcp and
+laplace_predict, the closed-form KL, and the prior helpers of gp_gaussian."""
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -6,10 +9,10 @@ from lgcp_design import (
     GaussianObs,
     MeanFunction,
     Model,
-    fit_gaussian,
+    fit_lgcp,
     kl_gaussian_closed_form,
+    laplace_predict,
     point,
-    predict,
     prior_predict,
     sample_prior,
 )
@@ -40,8 +43,8 @@ class TestScalarPosterior:
         mu = model.mean_at(x)[0]
         s2f = model.cov.total_variance
         y = mu + 3.0
-        post = fit_gaussian(model, x[None, :], np.array([y]))
-        mean, var = predict(post, x[None, :])
+        post = fit_lgcp(model, x[None, :], np.array([y]))
+        mean, var = laplace_predict(post, x[None, :])
         w = s2f / (s2f + model.noise_variance)
         assert mean[0] == pytest.approx(mu + w * 3.0, rel=1e-6)
         assert var[0] == pytest.approx(s2f * (1 - w), rel=1e-6)
@@ -88,16 +91,16 @@ class TestPredict:
         rng = np.random.default_rng(5)
         X = rng.random((8, 3))
         q = rng.random((20, 3))
-        _, v1 = predict(fit_gaussian(model, X, rng.normal(size=8)), q)
-        _, v2 = predict(fit_gaussian(model, X, rng.normal(size=8) + 10), q)
+        _, v1 = laplace_predict(fit_lgcp(model, X, rng.normal(size=8)), q)
+        _, v2 = laplace_predict(fit_lgcp(model, X, rng.normal(size=8) + 10), q)
         assert np.allclose(v1, v2, rtol=1e-10)
 
     def test_variance_never_exceeds_prior(self, model):
         rng = np.random.default_rng(6)
         X = rng.random((10, 3))
         q = rng.random((30, 3))
-        post = fit_gaussian(model, X, rng.normal(size=10))
-        _, var = predict(post, q)
+        post = fit_lgcp(model, X, rng.normal(size=10))
+        _, var = laplace_predict(post, q)
         prior_var = model.cov.total_variance
         assert np.all(var <= prior_var + 1e-8)
         assert np.all(var >= 0)
@@ -106,9 +109,9 @@ class TestPredict:
         rng = np.random.default_rng(7)
         X = rng.random((6, 3))
         q = rng.random((5, 3))
-        post = fit_gaussian(model, X, rng.normal(size=6))
-        mean_m, var = predict(post, q, want="marginal")
-        mean_f, cov = predict(post, q, want="full")
+        post = fit_lgcp(model, X, rng.normal(size=6))
+        mean_m, var = laplace_predict(post, q, want="marginal")
+        mean_f, cov = laplace_predict(post, q, want="full")
         assert np.allclose(mean_m, mean_f)
         assert np.allclose(np.diag(cov), var, atol=1e-8)
 
@@ -117,8 +120,8 @@ class TestPredict:
         rng = np.random.default_rng(8)
         X = rng.random((5, 3))
         y = rng.normal(size=5)
-        post = fit_gaussian(model, X, y)
-        mean, var = predict(post, X)
+        post = fit_lgcp(model, X, y)
+        mean, var = laplace_predict(post, X)
         assert np.allclose(mean, y, atol=1e-3)
         assert np.all(var < 1e-3)
 
@@ -128,7 +131,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(9)
         X = rng.random((7, 3))
         y = rng.normal(size=7)
-        post = fit_gaussian(model, X, y)
+        post = fit_lgcp(model, X, y)
         K = model.cov_at(X) + (model.noise_variance + model.jitter) * np.eye(7)
         expected = multivariate_normal(model.mean_at(X), K).logpdf(y)
         assert post.log_marginal == pytest.approx(expected, rel=1e-8)

@@ -67,6 +67,13 @@ class TestKernelSpecValidation:
         with pytest.raises(LgcpDesignError):
             KernelSpec("sqexp", 1.0, -1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(LgcpDesignError, match="finite"):
+            KernelSpec("sqexp", value, 1.0)
+        with pytest.raises(LgcpDesignError, match="finite"):
+            KernelSpec("sqexp", 1.0, value)
+
 
 class TestCovStructure:
     def test_separable_requires_unit_spatial_variance(self):

@@ -15,7 +15,6 @@ from lgcp_design import (
     NegativeBinomial,
     NumericalError,
     Poisson,
-    fit_gaussian,
     fit_lgcp,
     halton,
     intensity_moments,
@@ -23,7 +22,6 @@ from lgcp_design import (
     kl_lemma1,
     laplace_predict,
     point,
-    predict,
     sample_counts,
     sample_prior,
     unit_cube,
@@ -32,7 +30,7 @@ from lgcp_design import (
 )
 from lgcp_design import lgcp
 from lgcp_design.gp_gaussian import _chol, _clamp_variances, _fit_prior, _query_prior
-from conftest import random_cov
+from conftest import dense_gaussian_posterior, random_cov
 
 
 def poisson_model(cov, mean):
@@ -82,6 +80,17 @@ class TestObservationModels:
         with pytest.raises(LgcpDesignError):
             NegativeBinomial(1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        for make in (
+            lambda: NegativeBinomial(value),
+            lambda: NegativeBinomial(1.0, value),
+            lambda: NegativeBinomial(1.0, np.array([1.0, value])),
+            lambda: GaussianObs(value),
+        ):
+            with pytest.raises(LgcpDesignError, match="finite"):
+                make()
+
     def test_count_check(self):
         with pytest.raises(LgcpDesignError):
             Poisson().check_counts(np.array([1.0, -2.0]))
@@ -127,13 +136,14 @@ class TestMapEstimate:
         assert np.allclose(post.f_hat, mu + post.K @ post.alpha, atol=1e-10)
 
     def test_gaussian_obs_one_step(self, additive_cov, concave_mean):
-        # with a Gaussian likelihood Newton converges in one iteration
+        # with a Gaussian likelihood the first full Newton step is exact
         model = Model(concave_mean, additive_cov, GaussianObs(0.5))
         rng = np.random.default_rng(2)
         X = rng.random((8, 3))
         y = rng.normal(size=8)
         post = fit_lgcp(model, X, y)
-        assert post.iterations <= 2
+        assert post.iterations == 1
+        assert post.grad_max == np.max(np.abs(model.obs.grad(y, post.f_hat) - post.alpha))
 
 
 class TestLaplaceExactForGaussian:
@@ -148,12 +158,30 @@ class TestLaplaceExactForGaussian:
         q = rng.random((25, 3))
 
         lap = fit_lgcp(model, X, y)
-        ex = fit_gaussian(model, X, y)
         m1, v1 = laplace_predict(lap, q)
-        m2, v2 = predict(ex, q)
+        m2, cov2, log_marginal = dense_gaussian_posterior(model, X, y, q)
         assert np.allclose(m1, m2, atol=1e-9)
-        assert np.allclose(v1, v2, atol=1e-9)
-        assert lap.log_marginal == pytest.approx(ex.log_marginal, rel=1e-9)
+        assert np.allclose(v1, np.diag(cov2), atol=1e-9)
+        assert lap.log_marginal == pytest.approx(log_marginal, rel=1e-9)
+
+    @pytest.mark.parametrize("s2n", [1e-2, 1e-4, 1e-6])
+    def test_small_noise_one_exact_step(self, s2n):
+        # Newton iterates past the exact first step stall on roundoff above
+        # NEWTON_TOL once sigma^2 <= 1e-3
+        model = _paper_model(GaussianObs(s2n))
+        X = halton(150, domain=unit_cube()).points
+        y = _replicate(model, X, 0)
+        query = halton(200, offset=150).points
+        post = fit_lgcp(model, X, y)
+        assert post.iterations == 1
+        mean, var = laplace_predict(post, query)
+        dense_mean, dense_cov, log_marginal = dense_gaussian_posterior(model, X, y, query)
+        prior_var = model.cov.total_variance
+        assert np.all(np.abs(var - np.diag(dense_cov)) <= 1e-13 * prior_var)
+        mean_rtol = 1e-8 if s2n >= 1e-4 else 1e-6
+        assert np.max(np.abs(mean - dense_mean)) <= mean_rtol * np.max(np.abs(dense_mean))
+        if s2n >= 1e-4:
+            assert post.log_marginal == pytest.approx(log_marginal, rel=1e-11)
 
     def test_lemma1_matches_closed_form(self, additive_cov, concave_mean):
         s2n = 0.5
@@ -350,6 +378,7 @@ class TestFailureModes:
 def _reference_fit(model, design_points, y, _prior=None):
     """fit_lgcp with scipy's checked Cholesky factor and solves, a fresh B
     per iteration and the accepted trial recomputed after the line search.
+    A Gaussian likelihood stops after its first accepted full step.
 
     A bitwise reference for fit_lgcp. It also counts the step halvings and
     keeps the final gradient max-norm; the objective is looked up on the
@@ -396,6 +425,10 @@ def _reference_fit(model, design_points, y, _prior=None):
         alpha = alpha + step * (a_new - alpha)
         f = mu + K @ alpha
         obj = lgcp._newton_objective(obs, y, f, mu, alpha)
+        if isinstance(obs, GaussianObs) and step == 1.0:
+            grad_max = float(np.max(np.abs(obs.grad(y, f) - alpha)))
+            converged = True
+            break
     if not converged:
         raise NumericalError(f"Newton MAP did not converge in {lgcp.NEWTON_MAX_ITER} iterations")
     W = np.maximum(obs.hessian_diag(y, f), 0.0)
@@ -639,6 +672,21 @@ class TestPredictionOracle:
         assert np.all(var > 0)
         post_sd = np.sqrt(np.diag(cov))
         assert np.all(np.abs(cov - cov.T) <= 1e-15 * np.outer(post_sd, post_sd))
+
+    def test_whitener_formed_once_per_posterior(self, monkeypatch):
+        real, calls = lgcp.dtrtri, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lgcp, "dtrtri", counting)
+        post, query = self._posterior(20, np.logspace(-2, 2, 20))
+        mean, var = laplace_predict(post, query)
+        laplace_predict(post, query, want="full")
+        again = laplace_predict(post, query)
+        assert len(calls) == 1
+        assert np.array_equal(again[0], mean) and np.array_equal(again[1], var)
 
     @pytest.mark.parametrize("n", [5, 150])
     def test_zero_W_returns_prior_moments(self, n):
