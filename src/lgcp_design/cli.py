@@ -260,14 +260,20 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
         domain = unit_cube()
     grid = discretize(domain, res)
     cells = enumerate_cells(config)
+    # every parameter setting's model is built before the output exists, so
+    # a bad kernel value is a usage error before the first cell runs
+    models = {
+        (cov_mode, l_t, s2t, l_s): _build_model(
+            cov_mode, l_s, l_t, sigma2_s, s2t, spatial_family, temporal_family,
+            mean, obs,
+        )
+        for cov_mode, l_t, s2t, l_s in dict.fromkeys(cell[:4] for cell in cells)
+    }
     os.makedirs(outdir, exist_ok=True)
 
     results = []
     for idx, (cov_mode, l_t, s2t, l_s, name, n) in enumerate(cells):
-        model = _build_model(
-            cov_mode, l_s, l_t, sigma2_s, s2t, spatial_family, temporal_family,
-            mean, obs,
-        )
+        model = models[cov_mode, l_t, s2t, l_s]
         incl = None
         if name.endswith("+rejection"):
             incl = dsg.InclusionProbability.build(incl_variant, model, grid, p_max=p_max)

@@ -10,6 +10,7 @@ valid as W -> 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,15 +54,26 @@ GH_NODES = 31
 class Poisson:
     """Count model y_i ~ Poisson(exp(f_i))."""
 
+    def evaluator(self, y):
+        """The per-fit map f -> (log likelihood terms, gradient, W) at counts
+        y, with log y! formed once and exp(f) shared by the three terms."""
+        log_y_fact = gammaln(y + 1.0)
+
+        def evaluate(f):
+            rate = np.exp(f)
+            return y * f - rate - log_y_fact, y - rate, rate
+
+        return evaluate
+
     def loglik(self, y, f):
-        return y * f - np.exp(f) - gammaln(y + 1.0)
+        return self.evaluator(y)(f)[0]
 
     def grad(self, y, f):
-        return y - np.exp(f)
+        return self.evaluator(y)(f)[1]
 
     def hessian_diag(self, y, f):
         """Negative second derivative of the log likelihood (entries of W)."""
-        return np.exp(f)
+        return self.evaluator(y)(f)[2]
 
     def sample(self, f, rng):
         return rng.poisson(np.exp(f))
@@ -91,25 +103,33 @@ class NegativeBinomial:
     def _mean(self, f):
         return np.asarray(self.volumes) * np.exp(f)
 
-    def loglik(self, y, f):
-        m = self._mean(f)
+    def evaluator(self, y):
+        """The per-fit map f -> (log likelihood terms, gradient, W) at counts
+        y, with the terms free of f formed once and the mean m and r + m
+        shared by the three terms."""
         r = self.r
-        return (
-            gammaln(y + r)
-            - gammaln(r)
-            - gammaln(y + 1.0)
-            + r * np.log(r)
-            + y * np.log(m)
-            - (y + r) * np.log(r + m)
-        )
+        y_r = y + r
+        const = gammaln(y_r) - gammaln(r) - gammaln(y + 1.0) + r * np.log(r)
+
+        def evaluate(f):
+            m = self._mean(f)
+            r_m = r + m
+            return (
+                const + y * np.log(m) - y_r * np.log(r_m),
+                y - m * y_r / r_m,
+                y_r * m * r / r_m**2,
+            )
+
+        return evaluate
+
+    def loglik(self, y, f):
+        return self.evaluator(y)(f)[0]
 
     def grad(self, y, f):
-        m = self._mean(f)
-        return y - m * (y + self.r) / (self.r + m)
+        return self.evaluator(y)(f)[1]
 
     def hessian_diag(self, y, f):
-        m = self._mean(f)
-        return (y + self.r) * m * self.r / (self.r + m) ** 2
+        return self.evaluator(y)(f)[2]
 
     def sample(self, f, rng):
         m = self._mean(f)
@@ -129,15 +149,31 @@ class GaussianObs:
         if not 0 < self.noise_variance < np.inf:
             raise LgcpDesignError("noise_variance must be positive and finite")
 
-    def loglik(self, y, f):
+    def evaluator(self, y):
+        """The per-fit map f -> (log likelihood terms, gradient, W) at data
+        y, with the residual y - f shared by the first two; W = 1/sigma^2."""
         s2 = self.noise_variance
-        return -0.5 * ((y - f) ** 2 / s2 + np.log(2.0 * np.pi * s2))
+        log_norm = np.log(2.0 * np.pi * s2)
+        precision = 1.0 / s2
+
+        def evaluate(f):
+            resid = y - f
+            return (
+                -0.5 * (resid**2 / s2 + log_norm),
+                resid / s2,
+                np.full_like(np.asarray(f, dtype=float), precision),
+            )
+
+        return evaluate
+
+    def loglik(self, y, f):
+        return self.evaluator(y)(f)[0]
 
     def grad(self, y, f):
-        return (y - f) / self.noise_variance
+        return self.evaluator(y)(f)[1]
 
     def hessian_diag(self, y, f):
-        return np.full_like(np.asarray(f, dtype=float), 1.0 / self.noise_variance)
+        return self.evaluator(y)(f)[2]
 
     def sample(self, f, rng):
         return f + np.sqrt(self.noise_variance) * rng.standard_normal(np.shape(f))
@@ -218,26 +254,34 @@ class LatentPosterior:
         return M
 
 
-def _newton_objective(obs, y, f, mu, alpha):
-    # log posterior up to the constant -0.5 log|2 pi K|; trial steps can
-    # overflow exp(f), which yields -inf and is rejected by the line search
-    with np.errstate(over="ignore"):
-        return float(np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha)
+def _log_posterior(evaluate, f, mu, alpha):
+    """The log posterior at (f, alpha) up to the constant -0.5 log|2 pi K|,
+    with the likelihood's gradient and W at f, from one call of the
+    observation model's ``evaluate``. Trial steps can overflow exp(f), which
+    yields -inf and is rejected by the line search; the caller ignores the
+    overflow warning."""
+    terms, grad_lik, W = evaluate(f)
+    return float(terms.sum() - 0.5 * (f - mu) @ alpha), grad_lik, W
 
 
-def _factor_B(K, sW):
+def _factor_B(K, sW, work=None):
     """Lower Cholesky factor of B = I + W^1/2 K W^1/2.
 
-    B is built in a fresh Fortran-ordered array, which LAPACK's dpotrf
-    factors in place (the routine ``cho_factor`` calls, without its argument
-    checks; the caller has checked that K is finite). The strict upper
-    triangle keeps B's entries, as ``cho_factor`` leaves it.
+    B is written into ``work`` (a C-contiguous n x n array; a new one when
+    omitted) as T = (K diag(sW)) scaled by sW along rows, in C order. T's
+    entries are sW_i K_ij sW_j with the products rounded in the order
+    (K_ij sW_j) sW_i, so T^T, a Fortran-ordered view, holds
+    (K_ji sW_i) sW_j: B in Fortran order, bit for bit, because K is exactly
+    symmetric. LAPACK's dpotrf factors that view in place (the routine
+    ``cho_factor`` calls, without its argument checks; the caller has
+    checked that K is finite). The strict upper triangle keeps B's entries,
+    as ``cho_factor`` leaves it.
     """
     n = K.shape[0]
-    B = np.multiply(sW[:, None], K, order="F")
-    B *= sW[None, :]
-    B.flat[:: n + 1] += 1.0
-    c, info = dpotrf(B, lower=1, overwrite_a=1, clean=0)
+    T = np.multiply(K, sW[None, :], out=np.empty((n, n)) if work is None else work)
+    T *= sW[:, None]
+    T.reshape(-1)[:: n + 1] += 1.0  # the diagonal, through a view of C-contiguous T
+    c, info = dpotrf(T.T, lower=1, overwrite_a=1, clean=0)
     if info:
         raise NumericalError(
             "Cholesky factorization failed: "
@@ -252,18 +296,26 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     Rasmussen & Williams (2006) Alg. 3.1 in the B = I + W^1/2 K W^1/2
     parameterization. Each iteration factors B with LAPACK's dpotrf and
     solves with dpotrs directly; K is checked to be finite once per fit (a
-    non-finite K raises ValueError). The line search keeps the step,
-    iterate and objective of the trial it accepts; only when all
-    ``LINE_SEARCH_HALVINGS`` tried steps fail is the next, untried, halved
-    step taken without a test. Converges when the gradient of the exact log
+    non-finite K raises ValueError). The observation model's ``evaluator``
+    gives one map f -> (log likelihood terms, gradient, W) per fit, with
+    its terms free of f formed once; each trial point of the line search is
+    evaluated by one call of it, and the accepted trial's gradient and W
+    serve the next iteration. Every iteration writes B into one n x n
+    workspace of the fit, built in C order as the transpose of B, which
+    equals B because K is symmetric (see ``_factor_B``); the posterior's
+    factor gets an array of its own. The line search keeps the step,
+    iterate, objective, gradient and W of the trial it accepts; only when
+    all ``LINE_SEARCH_HALVINGS`` tried steps fail is the next halved step
+    taken without a test. Converges when the gradient of the exact log
     posterior has max-norm below 1e-8; non-convergence raises
     NumericalError. A Gaussian likelihood instead stops after the first full
     Newton step the line search accepts: W = 1/sigma^2 does not depend on f,
     so the log posterior is quadratic and that step lands on its exact mode
     (Alg. 3.1 and sec. 3.4), while the roundoff of further iterates exceeds
-    the tolerance once sigma^2 is small. The posterior records the iteration
-    count, the total number of step halvings and the gradient max-norm at
-    the returned iterate.
+    the tolerance once sigma^2 is small; that iteration's factor of B is
+    the posterior's. The posterior records the iteration count, the total
+    number of step halvings and the gradient max-norm at the returned
+    iterate.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -276,58 +328,64 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
 
     K, mu = _fit_prior(model, X) if _prior is None else _prior
     K = K + model.jitter * np.eye(n)
-    if not np.all(np.isfinite(K)):
+    if not np.isfinite(K).all():
         # _factor_B does not check its input; this is scipy's error for it
         raise ValueError("array must not contain infs or NaNs")
 
     # dual iterate: f = mu + K alpha is maintained exactly, so the
     # stationarity check grad_lik - alpha is free of K^-1 solve error
+    evaluate = obs.evaluator(y)
+    work = np.empty((n, n))
     f = mu.copy()
     alpha = np.zeros(n)
-    obj = _newton_objective(obs, y, f, mu, alpha)
+    chol_B = None
     halvings = 0
     converged = False
     it = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        W = np.maximum(obs.hessian_diag(y, f), 0.0)
-        grad_lik = obs.grad(y, f)
-        grad = grad_lik - alpha
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(grad))):
-            raise NumericalError("Newton MAP produced non-finite iterates")
-        grad_max = float(np.max(np.abs(grad)))
-        if grad_max < NEWTON_TOL:
-            converged = True
-            break
-        sW = np.sqrt(W)
-        chol = _factor_B(K, sW)
-        b = W * (f - mu) + grad_lik
-        a_new = b - sW * dpotrs(chol, sW * (K @ b), lower=1, overwrite_b=1)[0]
-        # step-halving line search on the exact log posterior; the slack
-        # keeps roundoff noise in the objective from rejecting full Newton
-        # steps near the optimum. Steps 1 to 2^-(H-1) are tested; when all
-        # fail, step 2^-H is taken untested.
-        slack = 1e-9 * max(1.0, abs(obj))
-        step = 1.0
-        for k in range(LINE_SEARCH_HALVINGS + 1):
-            alpha_try = alpha + step * (a_new - alpha)
-            f_try = mu + K @ alpha_try
-            obj_try = _newton_objective(obs, y, f_try, mu, alpha_try)
-            if obj_try >= obj - slack or k == LINE_SEARCH_HALVINGS:
+    with np.errstate(over="ignore"):
+        obj, grad_lik, W = _log_posterior(evaluate, f, mu, alpha)
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            # W, the likelihood's negative Hessian at f, is nonnegative in
+            # every observation model, so it needs no clamp
+            grad_max = float(np.abs(grad_lik - alpha).max())
+            if not (math.isfinite(grad_max) and np.isfinite(W).all()):
+                raise NumericalError("Newton MAP produced non-finite iterates")
+            if grad_max < NEWTON_TOL:
+                converged = True
                 break
-            step *= 0.5
-            halvings += 1
-        alpha, f, obj = alpha_try, f_try, obj_try
-        if quadratic and k == 0:
-            # the full step lands on the mode of a quadratic log posterior
-            grad_max = float(np.max(np.abs(obs.grad(y, f) - alpha)))
-            converged = True
-            break
+            sW = np.sqrt(W)
+            chol = _factor_B(K, sW, work)
+            b = W * (f - mu) + grad_lik
+            a_new = b - sW * dpotrs(chol, sW * (K @ b), lower=1, overwrite_b=1)[0]
+            # step-halving line search on the exact log posterior; the slack
+            # keeps roundoff noise in the objective from rejecting full Newton
+            # steps near the optimum. Steps 1 to 2^-(H-1) are tested; when all
+            # fail, step 2^-H is taken untested.
+            slack = 1e-9 * max(1.0, abs(obj))
+            step = 1.0
+            for k in range(LINE_SEARCH_HALVINGS + 1):
+                alpha_try = alpha + step * (a_new - alpha)
+                f_try = mu + K @ alpha_try
+                obj_try, grad_try, W_try = _log_posterior(evaluate, f_try, mu, alpha_try)
+                if obj_try >= obj - slack or k == LINE_SEARCH_HALVINGS:
+                    break
+                step *= 0.5
+                halvings += 1
+            alpha, f, obj, grad_lik, W = alpha_try, f_try, obj_try, grad_try, W_try
+            if quadratic and k == 0:
+                # the full step lands on the mode of a quadratic log
+                # posterior, and the factor of B just used is the one at its
+                # W (a Gaussian W is the same at every f)
+                grad_max = float(np.abs(grad_lik - alpha).max())
+                chol_B = (chol, True)
+                converged = True
+                break
     if not converged:
         raise NumericalError(f"Newton MAP did not converge in {NEWTON_MAX_ITER} iterations")
 
-    # W is the Hessian at the final f, computed by the last iteration (a
-    # Gaussian W is the same at every f)
-    chol_B = (_factor_B(K, np.sqrt(W)), True)
+    if chol_B is None:
+        # W is the Hessian at the final f, from the evaluation that accepted it
+        chol_B = (_factor_B(K, np.sqrt(W)), True)
     log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B[0])))
     # obj is the log posterior at (f, alpha), so this is the Laplace
     # approximation of the log marginal likelihood

@@ -265,6 +265,24 @@ class TestSimstudy:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "l_t nan\n", "l_s 0\n", "sigma2_t inf\n", "sigma2_s -1\n",
+    ])
+    def test_bad_kernel_value_rejected_before_first_cell(self, tmp_path, monkeypatch, capsys,
+                                                         line):
+        # the bad value comes after good ones, so its cells would run last
+        calls = []
+        monkeypatch.setattr(ev, "_replicates", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG + line)
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: lengthscale and variance must be positive and finite\n"
+        )
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["criterion KL\n", "M fifty\n", "l_t short\n"])
     def test_usage_error_leaves_no_output_directory(self, tmp_path, line):
         cfg = tmp_path / "s.cfg"

@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import brentq
+from scipy.special import gammaln
 from scipy.stats import nbinom
 
 from lgcp_design import (
@@ -15,6 +19,7 @@ from lgcp_design import (
     NegativeBinomial,
     NumericalError,
     Poisson,
+    condition_on_data,
     fit_lgcp,
     halton,
     intensity_moments,
@@ -375,14 +380,23 @@ class TestFailureModes:
 # reference: the Newton loop and prediction before the direct LAPACK calls
 
 
+def _reference_objective(obs, y, f, mu, alpha):
+    """The log posterior up to -0.5 log|2 pi K|, with the likelihood
+    evaluated on its own; exp(f) may overflow on a trial step."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha)
+
+
 def _reference_fit(model, design_points, y, _prior=None):
-    """fit_lgcp with scipy's checked Cholesky factor and solves, a fresh B
-    per iteration and the accepted trial recomputed after the line search.
-    A Gaussian likelihood stops after its first accepted full step.
+    """fit_lgcp with scipy's checked Cholesky factor and solves, a fresh
+    Fortran-ordered B per iteration and per posterior, the likelihood, its
+    gradient and W evaluated separately, and the accepted trial recomputed
+    after the line search. A Gaussian likelihood stops after its first
+    accepted full step.
 
     A bitwise reference for fit_lgcp. It also counts the step halvings and
-    keeps the final gradient max-norm; the objective is looked up on the
-    module at call time, so a test can replace it for both fits.
+    keeps the final gradient max-norm; the objective is looked up on this
+    module at call time, so a test can replace it.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -393,7 +407,7 @@ def _reference_fit(model, design_points, y, _prior=None):
     K = K + model.jitter * np.eye(n)
     f = mu.copy()
     alpha = np.zeros(n)
-    obj = lgcp._newton_objective(obs, y, f, mu, alpha)
+    obj = _reference_objective(obs, y, f, mu, alpha)
     halvings = 0
     converged = False
     it = 0
@@ -417,14 +431,14 @@ def _reference_fit(model, design_points, y, _prior=None):
         for _ in range(30):
             alpha_try = alpha + step * (a_new - alpha)
             f_try = mu + K @ alpha_try
-            obj_try = lgcp._newton_objective(obs, y, f_try, mu, alpha_try)
+            obj_try = _reference_objective(obs, y, f_try, mu, alpha_try)
             if obj_try >= obj - slack:
                 break
             step *= 0.5
             halvings += 1
         alpha = alpha + step * (a_new - alpha)
         f = mu + K @ alpha
-        obj = lgcp._newton_objective(obs, y, f, mu, alpha)
+        obj = _reference_objective(obs, y, f, mu, alpha)
         if isinstance(obs, GaussianObs) and step == 1.0:
             grad_max = float(np.max(np.abs(obs.grad(y, f) - alpha)))
             converged = True
@@ -457,7 +471,10 @@ def _reference_predict(post, query, want="marginal"):
 
 
 class _ObjectiveLog:
-    """Wraps lgcp._newton_objective, recording each (f, alpha) it is given.
+    """Wraps an objective, recording each (f, alpha) it is given: fit_lgcp's
+    lgcp._log_posterior(evaluate, f, mu, alpha), which returns the log
+    posterior with the gradient and W, or the reference's
+    _reference_objective(obs, y, f, mu, alpha).
 
     With ``reject`` > 0 the first ``reject`` trial steps (calls with a
     nonzero alpha) score -inf, which exhausts the first line search.
@@ -466,12 +483,14 @@ class _ObjectiveLog:
     def __init__(self, real, reject=0):
         self.real, self.reject, self.calls = real, reject, []
 
-    def __call__(self, obs, y, f, mu, alpha):
+    def __call__(self, *args):
+        f, _mu, alpha = args[-3:]
         self.calls.append((f.copy(), alpha.copy()))
+        value = self.real(*args)
         if self.reject and np.any(alpha):
             self.reject -= 1
-            return -np.inf
-        return self.real(obs, y, f, mu, alpha)
+            return (-np.inf, *value[1:]) if isinstance(value, tuple) else -np.inf
+        return value
 
     def iterates(self):
         """The calls with repeats of the previous call dropped: the reference
@@ -486,16 +505,19 @@ class _ObjectiveLog:
 def _fit_both(monkeypatch, model, X, y, reject=0, _prior=None):
     """Fit with fit_lgcp and the reference; each result is a posterior or
     the exception raised, with the objective's log."""
-    real = lgcp._newton_objective
     results = []
-    for fit in (fit_lgcp, _reference_fit):
+    for fit, owner, name in (
+        (fit_lgcp, lgcp, "_log_posterior"),
+        (_reference_fit, sys.modules[__name__], "_reference_objective"),
+    ):
+        real = getattr(owner, name)
         log = _ObjectiveLog(real, reject)
-        monkeypatch.setattr(lgcp, "_newton_objective", log)
+        monkeypatch.setattr(owner, name, log)
         try:
             results.append((fit(model, X, y, _prior=_prior), log))
         except (LgcpDesignError, ValueError) as exc:
             results.append((exc, log))
-    monkeypatch.setattr(lgcp, "_newton_objective", real)
+        monkeypatch.setattr(owner, name, real)
     return results
 
 
@@ -639,6 +661,166 @@ class TestNewtonMatchesReference:
             _reference_predict(post, query)
         with pytest.raises(ValueError):
             laplace_predict(post, query)
+
+
+def _separate_terms(obs, y, f):
+    """Each observation model's log likelihood terms, gradient and W, each
+    formula evaluated on its own with nothing shared or formed ahead: the
+    bitwise reference for the evaluators."""
+    if isinstance(obs, Poisson):
+        return y * f - np.exp(f) - gammaln(y + 1.0), y - np.exp(f), np.exp(f)
+    if isinstance(obs, NegativeBinomial):
+        r = obs.r
+        m = np.asarray(obs.volumes) * np.exp(f)
+        return (
+            gammaln(y + r) - gammaln(r) - gammaln(y + 1.0) + r * np.log(r)
+            + y * np.log(m) - (y + r) * np.log(r + m),
+            y - m * (y + r) / (r + m),
+            (y + r) * m * r / (r + m) ** 2,
+        )
+    s2 = obs.noise_variance
+    return (
+        -0.5 * ((y - f) ** 2 / s2 + np.log(2.0 * np.pi * s2)),
+        (y - f) / s2,
+        np.full_like(np.asarray(f, dtype=float), 1.0 / s2),
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_OBS_MODELS = pytest.mark.parametrize("obs", [
+    Poisson(),
+    NegativeBinomial(5.0, 1.0),
+    NegativeBinomial(0.7, np.linspace(0.5, 2.0, 12)),
+    GaussianObs(0.5),
+], ids=["poisson", "negbin", "negbin_volumes", "gaussian"])
+
+
+class TestLikelihoodEvaluator:
+    """One evaluation per trial point, bit for bit the separate formulas."""
+
+    @_OBS_MODELS
+    def test_matches_separate_formulas(self, obs):
+        rng = np.random.default_rng(40)
+        y = rng.poisson(3.0, 12).astype(float)
+        y[:2] = 0.0
+        # the last three entries overflow exp(f)
+        f = np.concatenate([rng.normal(0.0, 2.0, 9), [710.0, 800.0, 1e4]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            evaluated = obs.evaluator(y)(f)
+            separate = _separate_terms(obs, y, f)
+            views = obs.loglik(y, f), obs.grad(y, f), obs.hessian_diag(y, f)
+        for got, want, view in zip(evaluated, separate, views):
+            assert _same_bits(got, want) and _same_bits(view, want)
+        if not isinstance(obs, GaussianObs):
+            assert not np.isfinite(evaluated[2][-3:]).any()
+
+    @pytest.mark.parametrize("obs", [Poisson(), NegativeBinomial(5.0, 1.0), GaussianObs(0.5)],
+                             ids=["poisson", "negbin", "gaussian"])
+    def test_scalar_and_broadcast_arguments(self, obs):
+        for y, f in ((0.0, -1.0), (4.0, 0.8)):
+            views = obs.loglik(y, f), obs.grad(y, f), obs.hessian_diag(y, f)
+            for view, want in zip(views, _separate_terms(obs, y, f)):
+                assert _same_bits(view, want)
+        # kl_lemma1's broadcast: counts as a column, f with one column per node
+        y = np.arange(6.0)[:, None]
+        F = np.linspace(-2.0, 3.0, 6)[:, None] + np.linspace(-1.0, 1.0, 5)[None, :]
+        assert _same_bits(obs.loglik(y, F), _separate_terms(obs, y, F)[0])
+
+    @_OBS_MODELS
+    def test_one_evaluation_per_trial_point(self, monkeypatch, obs):
+        cls, points = type(obs), []
+        real = cls.evaluator
+
+        def logging_evaluator(self, y):
+            evaluate = real(self, y)
+
+            def logged(f):
+                points.append(f.copy())
+                return evaluate(f)
+
+            return logged
+
+        def separate(*args):
+            raise AssertionError("fit_lgcp called a separate likelihood formula")
+
+        monkeypatch.setattr(cls, "evaluator", logging_evaluator)
+        for name in ("loglik", "grad", "hessian_diag"):
+            monkeypatch.setattr(cls, name, separate)
+        model = _paper_model(obs)
+        X = np.random.default_rng(41).random((12, 3))
+        post = fit_lgcp(model, X, _replicate(model, X, 2))
+        # the prior mean, then each step's trial points; a fit that converged
+        # on the gradient test took one step fewer than its iteration count,
+        # a Gaussian fit stops right after its one step
+        steps = post.iterations if isinstance(obs, GaussianObs) else post.iterations - 1
+        assert post.iterations >= 1
+        assert len(points) == 1 + steps + post.halvings
+        assert len({f.tobytes() for f in points}) == len(points)
+
+    def test_gaussian_fit_factors_B_once(self, monkeypatch):
+        real, calls = lgcp._factor_B, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lgcp, "_factor_B", counting)
+        model = _paper_model(GaussianObs(1e-4))
+        X = halton(150, domain=unit_cube()).points
+        post = fit_lgcp(model, X, _replicate(model, X, 0))
+        assert post.iterations == 1
+        assert len(calls) == 1
+        chol = post.chol_B[0]
+        assert np.array_equal(chol, real(post.K, np.sqrt(post.W)))
+
+
+class TestFactorWorkspace:
+    """_factor_B builds B^T in C order in one workspace; with K exactly
+    symmetric that is B in Fortran order, bit for bit."""
+
+    @staticmethod
+    def _fortran_factor(K, sW):
+        # B as built in a fresh Fortran-ordered array before the workspace
+        n = K.shape[0]
+        B = np.multiply(sW[:, None], K, order="F")
+        B *= sW[None, :]
+        B.flat[:: n + 1] += 1.0
+        c, info = dpotrf(B, lower=1, overwrite_a=1, clean=0)
+        assert info == 0
+        return c
+
+    @staticmethod
+    def _prior_K(model, X):
+        return model.cov_at(X) + model.jitter * np.eye(X.shape[0])
+
+    @pytest.mark.parametrize("n", [1, 7, 150])
+    def test_matches_fortran_build(self, n):
+        model = _paper_model()
+        rng = np.random.default_rng(42 + n)
+        X = rng.random((n, 3))
+        K = self._prior_K(model, X)
+        assert np.array_equal(K, K.T)
+        work = np.empty((n, n))
+        for sW in (np.sqrt(np.logspace(-8, 4, n)), np.zeros(n), np.full(n, 3.0)):
+            chol = lgcp._factor_B(K, sW, work)
+            assert np.shares_memory(chol, work) and chol.flags.f_contiguous
+            assert _same_bits(chol, self._fortran_factor(K, sW))
+            assert _same_bits(lgcp._factor_B(K, sW), chol)
+
+    def test_conditioned_covariance_is_exactly_symmetric(self):
+        # the two-stage workload fits on a ConditionedModel's covariance
+        model = _paper_model()
+        wave1 = halton(40, domain=unit_cube()).points
+        cond = condition_on_data(model, wave1, _replicate(model, wave1, 1))
+        X = halton(60, domain=unit_cube(), offset=40).points
+        K = self._prior_K(cond, X)
+        assert np.array_equal(K, K.T)
+        sW = np.sqrt(np.random.default_rng(43).uniform(0.1, 30.0, 60))
+        assert _same_bits(lgcp._factor_B(K, sW, np.empty((60, 60))), self._fortran_factor(K, sW))
 
 
 class TestPredictionOracle:
