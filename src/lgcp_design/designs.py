@@ -118,12 +118,18 @@ def _sobol(i: np.ndarray) -> np.ndarray:
     return x * 2.0**-_SOBOL_BITS
 
 
+# Most raw proposals in one round of _Proposals.take, once rounds fall short
+_MAX_ROUND = 4096
+
+
 class _Proposals:
     """Admissible domain points of one base sequence, in sequence order.
 
-    Raw unit-cube proposals are drawn, mapped and mask-checked as arrays,
-    only as many per round as admissible points are still missing, so a
-    completed take never draws past the last point it returns.
+    Raw unit-cube proposals are drawn, mapped and mask-checked as arrays in
+    rounds. A take's first round draws as many proposals as points are
+    missing, so where the mask rejects nothing it completes the take without
+    drawing past it; each round that falls short doubles the next, up to
+    _MAX_ROUND, and admissible points drawn past a take are kept for the next.
     """
 
     def __init__(self, name, domain, seed, offset, n_hint):
@@ -131,6 +137,10 @@ class _Proposals:
             raise LgcpDesignError(f"unknown base generator {name!r}")
         self._name, self._domain, self._index = name, domain, offset
         self._misses = 0  # masked proposals since the last admissible one
+        self._ready = np.empty((0, 3))  # admissible points drawn, not yet taken
+        self._error = None  # the streak cut that follows the ready points
+        # index past the last proposal the sequence can produce
+        self._end = 1 << _SOBOL_BITS if name == "sobol" else np.inf
         if name == "random":
             self._rng = np.random.default_rng(seed)
         elif name == "fibonacci":
@@ -157,24 +167,28 @@ class _Proposals:
         the points before that streak come back with the
         InfeasibleDesignError in place of None.
         """
-        found = [np.empty((0, 3))]
-        missing = count
-        while missing > 0:
-            p = from_unit_cube(self._unit(missing), self._domain)
+        found = [self._ready[:count]]
+        self._ready = self._ready[count:]
+        missing = size = count - len(found[0])
+        while missing > 0 and self._error is None:
+            # past the sequence's end only when the missing points need it
+            k = max(missing, min(size, self._end - self._index))
+            p = from_unit_cube(self._unit(k), self._domain)
             ok = is_admissible(p, self._domain)
             # masked proposals in a row up to each proposal, across rounds
-            j = np.arange(missing)
+            j = np.arange(k)
             run = j - np.maximum.accumulate(np.where(ok, j, -1 - self._misses))
             streak = np.flatnonzero(run >= MAX_CONSECUTIVE_REJECTIONS)
             if streak.size:
-                found.append(p[: streak[0]][ok[: streak[0]]])
-                return np.concatenate(found), InfeasibleDesignError(
-                    "mask rejected 10^6 consecutive proposals"
-                )
-            found.append(p[ok])
+                p, ok = p[: streak[0]], ok[: streak[0]]
+                self._error = InfeasibleDesignError("mask rejected 10^6 consecutive proposals")
+            admissible = p[ok]
+            found.append(admissible[:missing])
+            self._ready = admissible[missing:]
             missing -= len(found[-1])
             self._misses = int(run[-1])
-        return np.concatenate(found), None
+            size = min(2 * size, _MAX_ROUND)
+        return np.concatenate(found), self._error if missing else None
 
 
 def _first(name, n, domain, seed=None, offset=0):
@@ -329,10 +343,41 @@ def min_dist_discrete(n: int, delta: float, grid, seed=0) -> Design:
     )
 
 
-def _maximin_order_start(candidates_u: np.ndarray, start_u: np.ndarray) -> np.ndarray:
-    """Candidate indices ordered by distance to the start corner (ties: lowest index)."""
-    d = np.sqrt(np.sum((candidates_u - start_u) ** 2, axis=1))
-    return np.argsort(d, kind="stable")
+def _maximin(n, candidates, start, domain, accept=None):
+    """Rows of ``candidates`` by greedy maximin (coffee-house) selection: the
+    first proposed in order of distance from ``start`` (default: domain lower
+    corner), each later one in order of decreasing minimum distance to the
+    selected set, ties to the lowest index. A proposal is kept when
+    ``accept(index)`` is true, and always when ``accept`` is None."""
+    domain = domain or unit_cube()
+    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
+    m = cand.shape[0]
+    if m < n:
+        raise LgcpDesignError("fewer candidates than requested design size")
+    cand_u = to_unit_cube(cand, domain)
+    start_u = to_unit_cube(start, domain) if start is not None else np.zeros(3)
+    # proposal score, highest first: nearness to start, then the minimum
+    # distance to the selected set, -inf once selected
+    score = -np.sqrt(np.sum((cand_u - start_u) ** 2, axis=1))
+    mindist = np.inf
+    selected: list[int] = []
+    while len(selected) < n:
+        nxt = int(np.argmax(score))
+        if accept is not None and not accept(nxt):
+            # the unselected candidates after the top one, in proposal order
+            order = np.argsort(-score, kind="stable")[1 : m - len(selected)]
+            nxt = next((int(i) for i in order if accept(i)), None)
+            if nxt is None:
+                raise InfeasibleDesignError(
+                    "candidate pool exhausted by rejection before reaching n points"
+                    if selected
+                    else "every candidate rejected for the first point"
+                )
+        selected.append(nxt)
+        mindist = np.minimum(mindist, np.sqrt(np.sum((cand_u - cand_u[nxt]) ** 2, axis=1)))
+        mindist[nxt] = -np.inf
+        score = mindist
+    return cand[selected]
 
 
 def coffee_house(
@@ -347,23 +392,7 @@ def coffee_house(
     then repeatedly adds the candidate maximizing the minimum distance to the
     selected set. Ties break to the lowest candidate index.
     """
-    domain = domain or unit_cube()
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if cand.shape[0] < n:
-        raise LgcpDesignError("fewer candidates than requested design size")
-    cand_u = to_unit_cube(cand, domain)
-    start_u = to_unit_cube(start, domain) if start is not None else np.zeros(3)
-    first = int(_maximin_order_start(cand_u, start_u)[0])
-    selected = [first]
-    mindist = np.sqrt(np.sum((cand_u - cand_u[first]) ** 2, axis=1))
-    mindist[first] = -np.inf
-    while len(selected) < n:
-        nxt = int(np.argmax(mindist))
-        selected.append(nxt)
-        d = np.sqrt(np.sum((cand_u - cand_u[nxt]) ** 2, axis=1))
-        mindist = np.minimum(mindist, d)
-        mindist[nxt] = -np.inf
-    return Design(cand[selected], {"generator": "space_fill", "n": n})
+    return Design(_maximin(n, candidates, start, domain), {"generator": "space_fill", "n": n})
 
 
 # ----------------------------------------------------------------------
@@ -527,52 +556,16 @@ def space_fill_rejection(
 ) -> Design:
     """Coffee-house selection with rejection thinning on discrete candidates.
 
-    At each step the k-th-largest maximin candidate is proposed; rejection
-    increments k, acceptance resets k to 1. The first point is proposed in
-    order of distance from the start corner with the same rejection rule.
-    With p = 1 everywhere this reproduces coffee_house exactly.
+    Each proposal of coffee_house's order is accepted with its inclusion
+    probability, one draw per proposed candidate: at each step the
+    k-th-largest maximin candidate is proposed, rejection increments k and
+    acceptance resets k to 1. With p = 1 everywhere this is coffee_house.
     """
-    domain = domain or unit_cube()
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-    m = cand.shape[0]
-    if m < n:
-        raise LgcpDesignError("fewer candidates than requested design size")
-    cand_u = to_unit_cube(cand, domain)
-    start_u = to_unit_cube(start, domain) if start is not None else np.zeros(3)
-    rng = np.random.default_rng(seed)
-    probs = incl.at(cand).tolist()
-
-    selected: list[int] = []
-    remaining = np.ones(m, dtype=bool)
-
-    def try_order(order) -> int | None:
-        for idx in order:
-            if rng.random() < probs[idx]:
-                return int(idx)
-        return None
-
-    first = try_order(_maximin_order_start(cand_u, start_u))
-    if first is None:
-        raise InfeasibleDesignError("every candidate rejected for the first point")
-    selected.append(first)
-    remaining[first] = False
-    mindist = np.sqrt(np.sum((cand_u - cand_u[first]) ** 2, axis=1))
-
-    while len(selected) < n:
-        pool = np.nonzero(remaining)[0]
-        # k-th largest maximin value, ties to lowest candidate index
-        order = pool[np.argsort(-mindist[pool], kind="stable")]
-        nxt = try_order(order)
-        if nxt is None:
-            raise InfeasibleDesignError(
-                "candidate pool exhausted by rejection before reaching n points"
-            )
-        selected.append(nxt)
-        remaining[nxt] = False
-        d = np.sqrt(np.sum((cand_u - cand_u[nxt]) ** 2, axis=1))
-        mindist = np.minimum(mindist, d)
+    probs = incl.at(np.atleast_2d(candidates)).tolist()
+    draw = np.random.default_rng(seed).random
+    points = _maximin(n, candidates, start, domain, lambda i: draw() < probs[i])
     return Design(
-        cand[selected],
+        points,
         {
             "generator": "space_fill+rejection",
             "n": n,

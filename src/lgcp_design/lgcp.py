@@ -100,19 +100,20 @@ class NegativeBinomial:
         if not np.all((0 < volumes) & (volumes < np.inf)):
             raise LgcpDesignError("volumes must be positive and finite")
 
-    def _mean(self, f):
-        return np.asarray(self.volumes) * np.exp(f)
-
     def evaluator(self, y):
         """The per-fit map f -> (log likelihood terms, gradient, W) at counts
         y, with the terms free of f formed once and the mean m and r + m
-        shared by the three terms."""
+        shared by the three terms. Per-site volumes take the shape of y, so
+        f may carry more columns than y (kl_lemma1's quadrature nodes)."""
         r = self.r
         y_r = y + r
         const = gammaln(y_r) - gammaln(r) - gammaln(y + 1.0) + r * np.log(r)
+        volumes = np.asarray(self.volumes)
+        if volumes.ndim:
+            volumes = volumes.reshape(np.shape(y))
 
         def evaluate(f):
-            m = self._mean(f)
+            m = volumes * np.exp(f)
             r_m = r + m
             return (
                 const + y * np.log(m) - y_r * np.log(r_m),
@@ -132,7 +133,7 @@ class NegativeBinomial:
         return self.evaluator(y)(f)[2]
 
     def sample(self, f, rng):
-        m = self._mean(f)
+        m = np.asarray(self.volumes) * np.exp(f)
         return rng.negative_binomial(self.r, self.r / (self.r + m))
 
     def check_counts(self, y):

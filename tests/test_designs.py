@@ -52,6 +52,13 @@ def masked_domain():
     return unit_cube(mask)
 
 
+def sparse_domain(cells=40):
+    """A 20 x 20 x 10 raster with ``cells`` admissible cells (1 % by default)."""
+    mask = np.zeros(4000, dtype=bool)
+    mask[np.random.default_rng(0).choice(4000, cells, replace=False)] = True
+    return unit_cube(mask.reshape(20, 20, 10))
+
+
 class TestDefaultDelta:
     @pytest.mark.parametrize("n,delta", [(50, 0.21), (100, 0.15), (150, 0.10)])
     def test_anchor_values(self, n, delta):
@@ -229,6 +236,14 @@ class TestCoffeeHouse:
         with pytest.raises(LgcpDesignError):
             coffee_house(9, grid.cells)
 
+    def test_matches_per_candidate_loop(self):
+        # with p = 1 the reference accepts every top candidate
+        dom = _scaled_masked_domain()
+        cand = discretize(dom, (8, 8, 6)).cells
+        start, one = np.array([15.0, 5.0, 0.0]), InclusionProbability.constant(1.0)
+        ref, _ = _per_candidate_space_fill(40, cand, one, 0, start, dom)
+        assert np.array_equal(coffee_house(40, cand, start, dom).points, ref)
+
 
 @pytest.fixture
 def poisson_model_fixture(additive_cov, concave_mean):
@@ -332,7 +347,44 @@ class TestRejectionWrap:
         assert np.array_equal(a.points, b.points)
 
 
+def _mostly_rejecting(domain):
+    """Acceptance 0.1, and 1 on the last fifth of the time axis."""
+
+    def moments(points):
+        return np.where(to_unit_cube(points, domain)[:, 2] > 0.8, 1.0, 0.1), None
+
+    return InclusionProbability("scaled_latent_mean", moments)
+
+
+def _scaled_masked_domain():
+    return Domain(np.array([[10.0, 20.0], [0.0, 5.0], [-1.0, 1.0]]), masked_domain().mask)
+
+
 class TestSpaceFillRejection:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_candidate_loop_when_most_steps_reject(self, seed):
+        dom = _scaled_masked_domain()
+        cand = discretize(dom, (8, 8, 6)).cells
+        incl, start = _mostly_rejecting(dom), np.array([15.0, 5.0, 0.0])
+        des = space_fill_rejection(40, cand, incl, seed=seed, start=start, domain=dom)
+        ref, top_rejected = _per_candidate_space_fill(40, cand, incl, seed, start, dom)
+        assert top_rejected > 20
+        assert np.array_equal(des.points, ref)
+
+    def test_error_messages(self):
+        grid = discretize(unit_cube(), (4, 4, 4))
+        with pytest.raises(InfeasibleDesignError) as exc:
+            space_fill_rejection(5, grid.cells, InclusionProbability.constant(0.0))
+        assert str(exc.value) == "every candidate rejected for the first point"
+        # 16 candidates in the first time layer, the only acceptable ones
+        incl = InclusionProbability(
+            "scaled_latent_mean", lambda p: ((p[:, 2] < 0.25).astype(float), None)
+        )
+        assert len(space_fill_rejection(16, grid.cells, incl).points) == 16
+        with pytest.raises(InfeasibleDesignError) as exc:
+            space_fill_rejection(17, grid.cells, incl)
+        assert str(exc.value) == "candidate pool exhausted by rejection before reaching n points"
+
     def test_degenerate_equals_coffee_house(self):
         grid = discretize(unit_cube(), (5, 5, 4))
         incl = InclusionProbability.constant(1.0)
@@ -418,18 +470,25 @@ def _per_proposal_rejection(base, incl, n, domain, seed, max_attempts, offset=0)
     )
 
 
-def _per_candidate_space_fill(n, cand, incl, seed):
-    """space_fill_rejection evaluated one candidate at a time, as a reference."""
-    cand_u = to_unit_cube(cand, unit_cube())
+def _per_candidate_space_fill(n, cand, incl, seed, start=None, domain=None):
+    """space_fill_rejection evaluated one candidate at a time, as a reference:
+    the points, and the number of steps whose top candidate was rejected."""
+    domain = domain or unit_cube()
+    cand_u = to_unit_cube(cand, domain)
+    start_u = np.zeros(3) if start is None else to_unit_cube(start, domain)
     rng = np.random.default_rng(seed)
+    top_rejected = 0
 
     def try_order(order):
-        for idx in order:
+        nonlocal top_rejected
+        for k, idx in enumerate(order):
             if rng.random() < float(incl.at(cand[idx])):
+                top_rejected += k > 0
                 return int(idx)
         raise InfeasibleDesignError("rejected")
 
-    selected = [try_order(np.argsort(np.sqrt(np.sum(cand_u**2, axis=1)), kind="stable"))]
+    order = np.argsort(np.sqrt(np.sum((cand_u - start_u) ** 2, axis=1)), kind="stable")
+    selected = [try_order(order)]
     remaining = np.ones(len(cand), dtype=bool)
     remaining[selected[0]] = False
     mindist = np.sqrt(np.sum((cand_u - cand_u[selected[0]]) ** 2, axis=1))
@@ -439,7 +498,7 @@ def _per_candidate_space_fill(n, cand, incl, seed):
         selected.append(nxt)
         remaining[nxt] = False
         mindist = np.minimum(mindist, np.sqrt(np.sum((cand_u - cand_u[nxt]) ** 2, axis=1)))
-    return cand[selected]
+    return cand[selected], top_rejected
 
 
 def _incl(kind, poisson_model_fixture, conditioned_model):
@@ -506,7 +565,7 @@ class TestBlockedThinning:
         incl = _incl(kind, poisson_model_fixture, conditioned_model)
         cand = discretize(unit_cube(), (7, 7, 6)).cells
         des = space_fill_rejection(40, cand, incl, seed=6)
-        assert np.array_equal(des.points, _per_candidate_space_fill(40, cand, incl, 6))
+        assert np.array_equal(des.points, _per_candidate_space_fill(40, cand, incl, 6)[0])
 
 
 class TestProposalSource:
@@ -515,19 +574,19 @@ class TestProposalSource:
     @pytest.mark.parametrize("offset", [0, 5])
     @pytest.mark.parametrize("base", dsg.BASE_GENERATORS)
     def test_takes_concatenate_to_one_take(self, base, offset):
-        dom = masked_domain()
         sizes = [1, 7, dsg._BLOCK, 3, 1, 100]
-        source = dsg._Proposals(base, dom, 2, offset, 40)
-        parts = []
-        for k in sizes:
-            pts, error = source.take(k)
-            assert error is None and pts.shape == (k, 3)
-            parts.append(pts)
-        whole, error = dsg._Proposals(base, dom, 2, offset, 40).take(sum(sizes))
-        assert error is None
-        assert np.array_equal(np.concatenate(parts), whole)
-        stream = _per_point_stream(base, dom, 2, offset, 40)
-        assert np.array_equal(whole, [next(stream) for _ in range(sum(sizes))])
+        for dom in (masked_domain(), sparse_domain(200)):
+            source = dsg._Proposals(base, dom, 2, offset, 40)
+            parts = []
+            for k in sizes:
+                pts, error = source.take(k)
+                assert error is None and pts.shape == (k, 3)
+                parts.append(pts)
+            whole, error = dsg._Proposals(base, dom, 2, offset, 40).take(sum(sizes))
+            assert error is None
+            assert np.array_equal(np.concatenate(parts), whole)
+            stream = _per_point_stream(base, dom, 2, offset, 40)
+            assert np.array_equal(whole, [next(stream) for _ in range(sum(sizes))])
 
     def test_consecutive_misses_cut_a_take(self, monkeypatch):
         monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 3)
@@ -548,6 +607,52 @@ class TestProposalSource:
         assert error is None and np.array_equal(pts, ref[-1:])
         pts, error = source.take(1)
         assert isinstance(error, InfeasibleDesignError) and pts.shape == (0, 3)
+
+
+    @staticmethod
+    def _count_rounds(monkeypatch):
+        rounds = []
+        unit = dsg._Proposals._unit
+
+        def counted(self, k):
+            rounds.append(k)
+            return unit(self, k)
+
+        monkeypatch.setattr(dsg._Proposals, "_unit", counted)
+        return rounds
+
+    def test_rounds_grow_on_a_sparse_mask(self, monkeypatch):
+        rounds = self._count_rounds(monkeypatch)
+        dom = sparse_domain()
+        des = halton(150, domain=dom)
+        # one round per doubling up to _MAX_ROUND, then rounds of _MAX_ROUND
+        assert rounds[:6] == [150, 300, 600, 1200, 2400, dsg._MAX_ROUND]
+        assert set(rounds[5:]) == {dsg._MAX_ROUND} and len(rounds) <= 10
+        stream = _per_point_stream("halton", dom, None, 0, 150)
+        assert np.array_equal(des.points, [next(stream) for _ in range(150)])
+
+    def test_long_streak_in_few_rounds(self, monkeypatch):
+        monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 10**4)
+        rounds = self._count_rounds(monkeypatch)
+        # two admissible cells, both off the s1 = 0.5 line of a 1-point lattice
+        mask = np.zeros((5, 5, 5), dtype=bool)
+        mask[0, 0, 0] = mask[4, 4, 4] = True
+        with pytest.raises(InfeasibleDesignError) as exc:
+            fibonacci_lattice_3d(1, unit_cube(mask))
+        assert str(exc.value) == "mask rejected 10^6 consecutive proposals"
+        assert len(rounds) <= 20
+        assert sum(rounds[:-1]) < 10**4 <= sum(rounds)
+
+    def test_rounds_stop_at_the_sobol_end(self):
+        dom, end = sparse_domain(), 1 << dsg._SOBOL_BITS
+        last = from_unit_cube(dsg._sobol(np.arange(end - 2000, end)), dom)
+        available = int(is_admissible(last, dom).sum())
+        assert 0 < available < 2000
+        source = dsg._Proposals("sobol", dom, None, end - 2000, 1)
+        pts, error = source.take(available)
+        assert error is None and np.array_equal(pts, last[is_admissible(last, dom)])
+        with pytest.raises(LgcpDesignError, match="at most 2\\*\\*30 Sobol points"):
+            source.take(1)
 
 
 class TestPredictionCount:

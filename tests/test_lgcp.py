@@ -20,6 +20,7 @@ from lgcp_design import (
     NumericalError,
     Poisson,
     condition_on_data,
+    expected_kl,
     fit_lgcp,
     halton,
     intensity_moments,
@@ -284,6 +285,32 @@ class TestLemma1BruteForce:
         assert kl_lemma1(post, nodes=31) == pytest.approx(
             kl_lemma1(post, nodes=61), rel=1e-6
         )
+
+
+class TestPerSiteVolumesKL:
+    """The Lemma-1 KL of a Negative-Binomial model with one volume per site."""
+
+    @pytest.fixture
+    def model(self):
+        return _paper_model(NegativeBinomial(2.0, np.linspace(0.5, 2.0, 6)))
+
+    def test_matches_site_by_site_quadrature(self, model):
+        X = np.random.default_rng(3).random((6, 3))
+        y = _replicate(model, X, 0)
+        post = fit_lgcp(model, X, y)
+        kl = kl_lemma1(post)
+        mean, var = laplace_predict(post, X)
+        x, w = np.polynomial.hermite.hermgauss(lgcp.GH_NODES)
+        expected = sum(
+            np.dot(w, NegativeBinomial(2.0, v).loglik(yi, mi + np.sqrt(2.0 * vi) * x))
+            for v, yi, mi, vi in zip(model.obs.volumes, y, mean, var)
+        ) / np.sqrt(np.pi)
+        assert np.isfinite(kl) and kl > 0.0
+        assert kl == pytest.approx(expected - post.log_marginal, rel=1e-12)
+
+    def test_expected_kl(self, model):
+        est = expected_kl(model, np.random.default_rng(4).random((6, 3)), 4, seed=1)
+        assert np.isfinite(est.value) and est.value >= 0.0
 
 
 class TestIntensityMoments:
@@ -671,7 +698,9 @@ def _separate_terms(obs, y, f):
         return y * f - np.exp(f) - gammaln(y + 1.0), y - np.exp(f), np.exp(f)
     if isinstance(obs, NegativeBinomial):
         r = obs.r
-        m = np.asarray(obs.volumes) * np.exp(f)
+        # per-site volumes are shaped like the counts
+        volumes = np.asarray(obs.volumes)
+        m = (volumes.reshape(np.shape(y)) if volumes.ndim else volumes) * np.exp(f)
         return (
             gammaln(y + r) - gammaln(r) - gammaln(y + 1.0) + r * np.log(r)
             + y * np.log(m) - (y + r) * np.log(r + m),
@@ -718,10 +747,16 @@ class TestLikelihoodEvaluator:
         if not isinstance(obs, GaussianObs):
             assert not np.isfinite(evaluated[2][-3:]).any()
 
-    @pytest.mark.parametrize("obs", [Poisson(), NegativeBinomial(5.0, 1.0), GaussianObs(0.5)],
-                             ids=["poisson", "negbin", "gaussian"])
+    @pytest.mark.parametrize("obs", [
+        Poisson(),
+        NegativeBinomial(5.0, 1.0),
+        NegativeBinomial(2.0, np.linspace(0.5, 2.0, 6)),
+        GaussianObs(0.5),
+    ], ids=["poisson", "negbin", "negbin_per_site", "gaussian"])
     def test_scalar_and_broadcast_arguments(self, obs):
-        for y, f in ((0.0, -1.0), (4.0, 0.8)):
+        per_site = np.ndim(getattr(obs, "volumes", 1.0)) > 0
+        # scalar counts, where the model has no per-site volumes
+        for y, f in ((0.0, -1.0), (4.0, 0.8)) if not per_site else ():
             views = obs.loglik(y, f), obs.grad(y, f), obs.hessian_diag(y, f)
             for view, want in zip(views, _separate_terms(obs, y, f)):
                 assert _same_bits(view, want)
@@ -729,6 +764,11 @@ class TestLikelihoodEvaluator:
         y = np.arange(6.0)[:, None]
         F = np.linspace(-2.0, 3.0, 6)[:, None] + np.linspace(-1.0, 1.0, 5)[None, :]
         assert _same_bits(obs.loglik(y, F), _separate_terms(obs, y, F)[0])
+        if per_site:
+            # row i is site i's own scalar-volume model
+            rows = [NegativeBinomial(obs.r, v).loglik(y[i], F[i])
+                    for i, v in enumerate(obs.volumes)]
+            assert _same_bits(obs.loglik(y, F), np.array(rows))
 
     @_OBS_MODELS
     def test_one_evaluation_per_trial_point(self, monkeypatch, obs):
