@@ -1,6 +1,6 @@
 """Rank designs by expected loss and information gain.
 
-Run with: python3 demos/03_design_comparison.py  (about a minute)
+Run with: python3 demos/03_design_comparison.py  (a few seconds)
 
 Designs are compared under a Poisson LGCP with a strong temporal trend.
 For each Monte Carlo replicate a latent field is drawn on the union of all

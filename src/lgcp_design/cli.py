@@ -189,6 +189,8 @@ def _check_generator(name):
 def generate_design(name, n, domain, seed, grid=None, delta=None, k=None,
                     incl=None, offset=0) -> dsg.Design:
     """Dispatch a design generator by name; '<base>+rejection' thins with incl."""
+    if n < 1:
+        raise LgcpDesignError("n must be >= 1")
     if delta is None:
         delta = dsg.default_delta(n)
     _check_generator(name)
@@ -260,8 +262,12 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
         domain = unit_cube()
     grid = discretize(domain, res)
     cells = enumerate_cells(config)
-    # every parameter setting's model is built before the output exists, so
-    # a bad kernel value is a usage error before the first cell runs
+    # M, every n and every parameter setting's model are checked before the
+    # output exists, so a bad value is a usage error before the first cell runs
+    if M < 2:
+        raise LgcpDesignError("M must be >= 2")
+    if any(cell[5] < 1 for cell in cells):
+        raise LgcpDesignError("n must be >= 1")
     models = {
         (cov_mode, l_t, s2t, l_s): _build_model(
             cov_mode, l_s, l_t, sigma2_s, s2t, spatial_family, temporal_family,

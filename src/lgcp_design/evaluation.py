@@ -66,52 +66,27 @@ def _apv_value(mean, var, target) -> float:
     raise LgcpDesignError(f"unknown APV target {target!r}")
 
 
-def _prior_apv(model, grid, target) -> float:
-    mean = model.mean_at(grid.cells)
-    var = prior_marginal_var(model, grid.cells)
-    return _apv_value(mean, var, target)
-
-
 def _points(design):
     return design.points if hasattr(design, "points") else np.asarray(design)
 
 
-def _prior_terms(model, points, criteria, grid):
-    """The data-independent terms of every replicate's fit and predictions
-    on one point set: (fit, grid prediction, design-point prediction), the
-    last two None when no requested criterion needs them."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    fit = gp_gaussian._fit_prior(model, X)
-    apv = any(c != "kl" for c in criteria)
-    on_grid = gp_gaussian._query_prior(model, grid.cells, X, "marginal") if apv else None
-    # kl_lemma1 predicts at the design points; the Gaussian closed form does not
-    at_points = (
-        gp_gaussian._query_prior(model, X, X, "marginal")
-        if "kl" in criteria and not _is_gaussian(model) else None
-    )
-    return fit, on_grid, at_points
-
-
-def _criteria_values(model, points, y, criteria, grid, terms) -> list[float]:
-    """Every criterion of one data replicate, from at most one fit.
-
-    ``terms`` is the point set's ``_prior_terms``.
-    """
-    fit_prior, grid_prior, points_prior = terms
+def _criteria_values(model, y, criteria, grid, prior) -> list[float]:
+    """Every criterion of one data replicate on the points of ``prior``, a
+    ``PriorTerms``, from at most one fit."""
     gaussian = _is_gaussian(model)
     apv = any(c != "kl" for c in criteria)
     # the Gaussian KL has a closed form that needs no fit
-    post = lgcp.fit_lgcp(model, points, y, _prior=fit_prior) if apv or not gaussian else None
+    post = lgcp.fit_lgcp(model, prior.X, y, prior=prior) if apv or not gaussian else None
     if apv:
-        mean, var = lgcp.laplace_predict(post, grid.cells, _prior=grid_prior)
+        mean, var = lgcp.laplace_predict(post, grid.cells)
     values = []
     for c in criteria:
         if c != "kl":
             values.append(_apv_value(mean, var, c.removeprefix("apv_")))
         elif gaussian:
-            values.append(gp_gaussian.kl_gaussian_closed_form(model, points, y, _prior=fit_prior))
+            values.append(gp_gaussian.kl_gaussian_closed_form(model, prior.X, y, prior=prior))
         else:
-            values.append(lgcp.kl_lemma1(post, _prior=points_prior))
+            values.append(lgcp.kl_lemma1(post))
     return values
 
 
@@ -125,37 +100,39 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     the number of failed cells of each set; a cell fills all its criteria or
     none.
 
-    The prior factor of the union and each set's prior terms do not depend
-    on the replicate, so they are built once, before the replicate loop; the
-    draws and values are those of building them in every replicate. A
-    NumericalError while building them fails every replicate they serve.
+    The prior terms do not depend on the replicate, so one ``PriorTerms``
+    per set, and one for the union of several sets, is built before the
+    replicate loop; the draws and values are those of building them in
+    every replicate. A NumericalError while building the union's terms
+    fails every replicate, and one while building a set's fails its own.
     """
     bounds = np.cumsum([0] + [pts.shape[0] for pts in point_sets])
-    union = np.vstack(point_sets)
+    union = point_sets[0] if len(point_sets) == 1 else np.vstack(point_sets)
     out = np.full((len(point_sets), len(criteria), M), np.nan)
     try:
-        factor = gp_gaussian._prior_factor(model, union)
+        draws = gp_gaussian.PriorTerms.at(model, union)
+        draws.factor  # built here, so that its failure fails every replicate
     except NumericalError:
         return out, np.full(len(point_sets), M)
-    terms = []
+    priors = []
     for pts in point_sets:
         try:
-            terms.append(_prior_terms(model, pts, criteria, grid))
+            priors.append(draws if pts is union else gp_gaussian.PriorTerms.at(model, pts))
         except NumericalError:
-            terms.append(None)
+            priors.append(None)
     failures = np.zeros(len(point_sets), dtype=int)
     for j in range(M):
         draw_seed = np.random.SeedSequence(seed, spawn_key=(j, 0))
-        f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed, _factor=factor)[0]
-        for d, pts in enumerate(point_sets):
+        f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed, prior=draws)[0]
+        for d, prior in enumerate(priors):
             f = f_union[bounds[d]:bounds[d + 1]]
             counts_seed = np.random.SeedSequence(seed, spawn_key=count_key(j, d))
             y = np.asarray(lgcp.sample_counts(model, f, counts_seed), dtype=float)
-            if terms[d] is None:
+            if prior is None:
                 failures[d] += 1
                 continue
             try:
-                out[d, :, j] = _criteria_values(model, pts, y, criteria, grid, terms[d])
+                out[d, :, j] = _criteria_values(model, y, criteria, grid, prior)
             except NumericalError:
                 failures[d] += 1
     return out, failures
@@ -175,7 +152,7 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     provenance = getattr(design, "provenance", {})
     points = _points(design)
     if points.shape[0] == 0:
-        value = _prior_apv(model, grid, target)
+        value = _apv_value(*gp_gaussian.prior_predict(model, grid.cells), target)
         return _summarize(criterion, np.full(M, value), provenance)
     # intensity variance depends on the posterior mean, which does vary with
     # the data, so only the latent target has a Gaussian shortcut

@@ -1,16 +1,20 @@
-"""Gaussian-process prior terms, prior sampling, and the closed-form KL
-divergence of the Gaussian observation model,
-``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
+"""The Gaussian-process prior: its data-independent terms at a point set
+(``PriorTerms``), prior sampling and prior prediction, the variance clamp of
+every prediction, and the closed-form KL divergence of the Gaussian
+observation model, ``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
 
 Fitting and prediction under every observation model, the Gaussian one
-included, are ``lgcp.fit_lgcp`` and ``lgcp.laplace_predict``; the prior
-terms and the variance clamp they use live here. All solves go through
-Cholesky factorizations. Negative predicted variances arising from
-cancellation are clamped to zero, and a clamp rate above 0.1% of queries
-raises NumericalError instead of being hidden.
+included, are ``lgcp.fit_lgcp`` and ``lgcp.laplace_predict``; both read the
+prior from a ``PriorTerms``. All solves go through Cholesky factorizations.
+Negative predicted variances arising from cancellation are clamped to zero,
+and a clamp rate above 0.1% of queries raises NumericalError instead of
+being hidden.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,6 +25,7 @@ from .exceptions import LgcpDesignError, NumericalError
 from .kernels import JITTER_SCALE, CovStructure, cov_matrix  # noqa: F401
 
 __all__ = [
+    "PriorTerms",
     "prior_predict",
     "sample_prior",
     "kl_gaussian_closed_form",
@@ -48,27 +53,6 @@ def _clamp_variances(var: np.ndarray) -> np.ndarray:
     return var
 
 
-def _fit_prior(model, X):
-    """Prior covariance (without jitter) and mean at design points X.
-
-    These terms of a fit do not depend on the data; a caller fitting many
-    data sets on the same points builds them once and passes them as
-    ``_prior``.
-    """
-    return model.cov_at(X), model.mean_at(X)
-
-
-def _query_prior(model, Xq, X, want):
-    """Prior terms of a prediction at Xq from a fit at X.
-
-    The cross-covariance, the prior mean at Xq, and the prior marginal
-    variance (``want="marginal"``) or covariance (``want="full"``) at Xq.
-    None of them depends on the data (Rasmussen & Williams 2006, Alg. 3.2).
-    """
-    second = model.cov_at(Xq) if want == "full" else prior_marginal_var(model, Xq)
-    return model.cov_at(Xq, X), model.mean_at(Xq), second
-
-
 def prior_marginal_var(model, query) -> np.ndarray:
     """Prior marginal variances at query points without forming the full matrix."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
@@ -89,41 +73,85 @@ def prior_predict(model, query, want: str = "marginal"):
     return mean, prior_marginal_var(model, Xq)
 
 
-def _prior_factor(model, X):
-    """Prior mean at X and the transposed lower Cholesky factor of the
-    (jittered) prior covariance: the part of ``sample_prior`` that does not
-    depend on the seed, to be passed back as ``_factor``."""
-    K = model.cov_at(X)
-    jitter = JITTER_SCALE * max(np.max(np.diag(K)), 1.0)
-    chol, _ = _chol(K, jitter)
-    return model.mean_at(X), np.tril(chol).T
+@dataclass(frozen=True, eq=False)
+class PriorTerms:
+    """The terms of the GP prior at points X that no data set changes: K
+    (without jitter) and mu, and, built on first use, the prior variance at
+    X, the draw factor and the terms of a prediction at other points
+    (Rasmussen & Williams 2006, Alg. 3.2). One per point set, passed as
+    ``prior=``, serves every fit and draw on it and the predictions of
+    their posteriors.
+    """
+
+    model: object
+    X: np.ndarray
+    K: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    _last_query: tuple | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def at(cls, model, points, terms=None):
+        """``terms``, checked to be built for this model object at these
+        points, or new terms when it is None."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        if terms is None:
+            return cls(model, X, model.cov_at(X), model.mean_at(X))
+        if terms.model is not model or not np.array_equal(terms.X, X):
+            raise LgcpDesignError("prior terms were built for another model or other points")
+        return terms
+
+    @cached_property
+    def var(self) -> np.ndarray:
+        return prior_marginal_var(self.model, self.X)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Transposed lower Cholesky factor of K + jitter I, the jitter scaled
+        by K's largest variance: a draw at X is mu + z @ factor."""
+        chol, _ = _chol(self.K, JITTER_SCALE * max(np.max(np.diag(self.K)), 1.0))
+        return np.tril(chol).T
+
+    def query(self, Xq, want: str = "marginal"):
+        """K(Xq, X), the prior mean at Xq, and the prior marginal variance or
+        (``want="full"``) covariance at Xq: K, mu and var (or K) at X itself.
+        The terms of the last other query set are kept, compared by value.
+        """
+        if np.array_equal(Xq, self.X):
+            return self.K, self.mu, self.K if want == "full" else self.var
+        last = self._last_query
+        if last is None or last[0] != want or not np.array_equal(last[1], Xq):
+            mean, second = prior_predict(self.model, Xq, want)
+            last = want, Xq.copy(), (self.model.cov_at(Xq, self.X), mean, second)
+            # a cache: the one attribute set after construction
+            object.__setattr__(self, "_last_query", last)
+        return last[2]
 
 
-def sample_prior(model, points, count: int, seed, _factor=None) -> np.ndarray:
+def sample_prior(model, points, count: int, seed, prior=None) -> np.ndarray:
     """Draw ``count`` joint latent prior samples at the given points.
 
     Returns an array of shape (count, n_points); deterministic given seed.
+    ``prior`` is the points' ``PriorTerms``, built here when omitted.
     """
     if count < 1:
         raise LgcpDesignError("count must be >= 1")
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    mean, LT = _prior_factor(model, X) if _factor is None else _factor
+    prior = PriorTerms.at(model, points, prior)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, X.shape[0]))
-    return mean[None, :] + z @ LT
+    z = rng.standard_normal((count, prior.X.shape[0]))
+    return prior.mu[None, :] + z @ prior.factor
 
 
-def kl_gaussian_closed_form(model, design_points, y, _prior=None) -> float:
+def kl_gaussian_closed_form(model, design_points, y, prior=None) -> float:
     """KL divergence from prior to posterior over the design points.
 
     Closed form for the Gaussian observation model with posterior moments
     mu1 = K (K + sigma^2 I)^-1 (y - mu) and K1 = K - K (K + sigma^2 I)^-1 K:
-    KL = 0.5 [ log|K K1^-1| + Tr(K1 K^-1) + mu1' K^-1 mu1 - n ].
+    KL = 0.5 [ log|K K1^-1| + Tr(K1 K^-1) + mu1' K^-1 mu1 - n ]. ``prior``
+    is the design points' ``PriorTerms``, built here when omitted.
     """
-    X = np.atleast_2d(np.asarray(design_points, dtype=float))
+    prior = PriorTerms.at(model, design_points, prior)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    K, mu = _fit_prior(model, X) if _prior is None else _prior
+    K, mu, n = prior.K, prior.mu, prior.X.shape[0]
     jitter = model.jitter
     Kj = K + jitter * np.eye(n)
     chol_noisy = _chol(K + model.noise_variance * np.eye(n), jitter)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.special import gammaln
 
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import _clamp_variances, _fit_prior, _query_prior
+from .gp_gaussian import PriorTerms, _clamp_variances
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
 
 __all__ = [
@@ -50,8 +50,27 @@ GH_NODES = 31
 # observation models
 
 
+class _Likelihood:
+    """The log likelihood terms, gradient and W of an observation model,
+    each from its ``evaluator(y)``; data must be counts unless the model
+    overrides ``check_counts``."""
+
+    def loglik(self, y, f):
+        return self.evaluator(y)(f)[0]
+
+    def grad(self, y, f):
+        return self.evaluator(y)(f)[1]
+
+    def hessian_diag(self, y, f):
+        """Negative second derivative of the log likelihood (entries of W)."""
+        return self.evaluator(y)(f)[2]
+
+    def check_counts(self, y):
+        _require_counts(y)
+
+
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Likelihood):
     """Count model y_i ~ Poisson(exp(f_i))."""
 
     def evaluator(self, y):
@@ -65,25 +84,12 @@ class Poisson:
 
         return evaluate
 
-    def loglik(self, y, f):
-        return self.evaluator(y)(f)[0]
-
-    def grad(self, y, f):
-        return self.evaluator(y)(f)[1]
-
-    def hessian_diag(self, y, f):
-        """Negative second derivative of the log likelihood (entries of W)."""
-        return self.evaluator(y)(f)[2]
-
     def sample(self, f, rng):
         return rng.poisson(np.exp(f))
 
-    def check_counts(self, y):
-        _require_counts(y)
-
 
 @dataclass(frozen=True)
-class NegativeBinomial:
+class NegativeBinomial(_Likelihood):
     """Overdispersed counts with mean V_i exp(f_i) and dispersion r.
 
     Var[Y_i] = E[Y_i] + E[Y_i]^2 / r; the Poisson model is the r -> inf limit.
@@ -123,25 +129,13 @@ class NegativeBinomial:
 
         return evaluate
 
-    def loglik(self, y, f):
-        return self.evaluator(y)(f)[0]
-
-    def grad(self, y, f):
-        return self.evaluator(y)(f)[1]
-
-    def hessian_diag(self, y, f):
-        return self.evaluator(y)(f)[2]
-
     def sample(self, f, rng):
         m = np.asarray(self.volumes) * np.exp(f)
         return rng.negative_binomial(self.r, self.r / (self.r + m))
 
-    def check_counts(self, y):
-        _require_counts(y)
-
 
 @dataclass(frozen=True)
-class GaussianObs:
+class GaussianObs(_Likelihood):
     """Gaussian observation model y_i ~ N(f_i, sigma^2)."""
 
     noise_variance: float
@@ -166,15 +160,6 @@ class GaussianObs:
             )
 
         return evaluate
-
-    def loglik(self, y, f):
-        return self.evaluator(y)(f)[0]
-
-    def grad(self, y, f):
-        return self.evaluator(y)(f)[1]
-
-    def hessian_diag(self, y, f):
-        return self.evaluator(y)(f)[2]
 
     def sample(self, f, rng):
         return f + np.sqrt(self.noise_variance) * rng.standard_normal(np.shape(f))
@@ -228,8 +213,7 @@ class Model:
 class LatentPosterior:
     """Laplace posterior at the design points; immutable once fitted."""
 
-    model: object
-    design_points: np.ndarray
+    prior: PriorTerms  # the prior terms at the design points
     y: np.ndarray
     f_hat: np.ndarray
     W: np.ndarray
@@ -240,6 +224,14 @@ class LatentPosterior:
     iterations: int = 0
     halvings: int = 0  # line-search step halvings over all iterations
     grad_max: float = float("nan")  # max |gradient| of the log posterior at f_hat
+
+    @property
+    def model(self):
+        return self.prior.model
+
+    @property
+    def design_points(self) -> np.ndarray:
+        return self.prior.X
 
     @cached_property
     def _whitener(self):
@@ -291,7 +283,7 @@ def _factor_B(K, sW, work=None):
     return c
 
 
-def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
+def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
     """Newton MAP estimation with step-halving, then the Laplace posterior.
 
     Rasmussen & Williams (2006) Alg. 3.1 in the B = I + W^1/2 K W^1/2
@@ -316,7 +308,8 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     the tolerance once sigma^2 is small; that iteration's factor of B is
     the posterior's. The posterior records the iteration count, the total
     number of step halvings and the gradient max-norm at the returned
-    iterate.
+    iterate. ``prior`` is the design points' ``PriorTerms``, built here when
+    omitted; the posterior carries it.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -327,8 +320,9 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     obs.check_counts(y)
     quadratic = isinstance(obs, GaussianObs)
 
-    K, mu = _fit_prior(model, X) if _prior is None else _prior
-    K = K + model.jitter * np.eye(n)
+    prior = PriorTerms.at(model, X, prior)
+    mu = prior.mu
+    K = prior.K + model.jitter * np.eye(n)
     if not np.isfinite(K).all():
         # _factor_B does not check its input; this is scipy's error for it
         raise ValueError("array must not contain infs or NaNs")
@@ -392,7 +386,7 @@ def fit_lgcp(model, design_points, y, _prior=None) -> LatentPosterior:
     # approximation of the log marginal likelihood
     log_marginal = float(obj - 0.5 * log_det_B)
     return LatentPosterior(
-        model, X, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
+        prior, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
     )
 
 
@@ -410,12 +404,11 @@ def _whiten(post, *cross):
     return [dtrmm(1.0, post._whitener, X, lower=1) for X in cross]
 
 
-def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior=None):
-    """Laplace posterior predictive mean and (co)variance at query points."""
+def laplace_predict(post: LatentPosterior, query, want: str = "marginal"):
+    """Laplace posterior predictive mean and (co)variance at query points,
+    from the prior terms the posterior's ``PriorTerms`` gives for them."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    Kqd, prior_mean, prior_second = (
-        _query_prior(post.model, Xq, post.design_points, want) if _prior is None else _prior
-    )
+    Kqd, prior_mean, prior_second = post.prior.query(Xq, want)
     cross = Kqd @ post.alpha
     if not np.all(np.isfinite(cross)):
         # alpha is finite, so Kqd is not; dtrmm does not check its input,
@@ -435,24 +428,19 @@ def laplace_predict(post: LatentPosterior, query, want: str = "marginal", _prior
 # ----------------------------------------------------------------------
 # KL divergence (Lemma 1) and intensity helpers
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_gh_nodes = cache(hermgauss)  # Gauss-Hermite nodes and weights by count
 
 
-def _gh_nodes(count: int):
-    if count not in _GH_CACHE:
-        _GH_CACHE[count] = hermgauss(count)
-    return _GH_CACHE[count]
-
-
-def kl_lemma1(post: LatentPosterior, nodes: int = GH_NODES, _prior=None) -> float:
+def kl_lemma1(post: LatentPosterior, nodes: int = GH_NODES) -> float:
     """KL divergence from prior to posterior of the latent process.
 
     Sum over design points of E_post[log p(y_i | f_i)] under the marginal
     Laplace posterior, via Gauss-Hermite quadrature, minus the approximate
-    log marginal likelihood. Clamped to zero below -1e-10. ``_prior`` holds
-    the prior terms of the marginal prediction at the design points.
+    log marginal likelihood. Clamped to zero below -1e-10. The marginal
+    prediction at the design points reads K, mu and the prior variance from
+    ``post.prior``.
     """
-    mean, var = laplace_predict(post, post.design_points, want="marginal", _prior=_prior)
+    mean, var = laplace_predict(post, post.design_points)
     x, w = _gh_nodes(nodes)
     scale = np.sqrt(2.0 * np.maximum(var, 0.0))
     # nodes broadcast: (n, nodes)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,16 @@ class TestDesignCommand:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_non_positive_n_usage_error(self, tmp_path, n):
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["design", "--generator", "space_fill", "--n", n, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert caught == []
 
     @pytest.mark.parametrize("flag", ["--obs-sigma2", "--obs-r"])
     def test_non_finite_observation_parameter_usage_error(self, tmp_path, flag):
@@ -283,7 +294,9 @@ class TestSimstudy:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["criterion KL\n", "M fifty\n", "l_t short\n"])
+    @pytest.mark.parametrize(
+        "line", ["criterion KL\n", "M fifty\n", "l_t short\n", "n 0\n", "M 1\n"]
+    )
     def test_usage_error_leaves_no_output_directory(self, tmp_path, line):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SIMSTUDY_CONFIG + line)

@@ -12,6 +12,7 @@ from lgcp_design import (
     Model,
     NumericalError,
     Poisson,
+    PriorTerms,
     compare_designs,
     condition_on_data,
     discretize,
@@ -224,6 +225,26 @@ class TestFailurePolicy:
         # kl predicts at the design points, so only design b's cells fail
         with pytest.raises(NumericalError, match="^4 replicate fits failed across designs$"):
             compare_designs(model, {"a": halton(8), "b": b}, ["kl"], None, 4, seed=2)
+
+
+class TestPriorTerms:
+    @pytest.mark.parametrize("call", ["fit_lgcp", "sample_prior", "kl_gaussian_closed_form"])
+    def test_prior_for_other_points_or_model_rejected(self, call, gauss_model, additive_cov,
+                                                      concave_mean):
+        X = halton(6).points
+        other_model = Model(concave_mean, additive_cov, GaussianObs(2.0))
+        run = {
+            "fit_lgcp": lambda prior: fit_lgcp(gauss_model, X, np.zeros(6), prior=prior),
+            "sample_prior": lambda prior: sample_prior(gauss_model, X, 1, 0, prior=prior),
+            "kl_gaussian_closed_form": lambda prior: kl_gaussian_closed_form(
+                gauss_model, X, np.zeros(6), prior=prior),
+        }[call]
+        run(PriorTerms.at(gauss_model, X))
+        for prior in (PriorTerms.at(gauss_model, halton(6, offset=6).points),
+                      PriorTerms.at(gauss_model, X[:5]),
+                      PriorTerms.at(other_model, X)):
+            with pytest.raises(LgcpDesignError, match="^prior terms were built for another"):
+                run(prior)
 
 
 class TestConditioning:
@@ -452,7 +473,9 @@ class TestSeedScheme:
 
 
 class TestDataIndependentWork:
-    """Prior terms are built once per call, so their cost does not grow with M."""
+    """Prior terms are built once per call, so their cost does not grow with M:
+    one K per point set (and per union of several), and one grid
+    cross-covariance per point set."""
 
     @pytest.fixture
     def cov_calls(self, monkeypatch):
@@ -484,7 +507,25 @@ class TestDataIndependentWork:
             cov_calls.clear()
             run(M)
             counts.append(len(cov_calls))
-        assert counts[0] == counts[1] > 0
+        # K of a; K of a and a's grid cross-covariance; K of the union, of a
+        # and of b, and a's and b's grid cross-covariances
+        calls = {"expected_kl": 1, "expected_apv": 2, "compare_designs": 5}[entry]
+        assert counts == [calls, calls]
+
+    def test_query_terms_of_the_last_query_set_are_kept(self, pois_model, grid, cov_calls):
+        X = halton(6).points
+        prior = PriorTerms.at(pois_model, X)
+        cov_calls.clear()
+        first = prior.query(grid.cells)
+        assert prior.query(grid.cells.copy()) is first
+        assert all(a is b for a, b in zip(prior.query(X), (prior.K, prior.mu, prior.var)))
+        assert prior.query(grid.cells) is first
+        assert len(cov_calls) == 1
+        other = prior.query(grid.cells[:7])
+        assert prior.query(grid.cells) is not first
+        assert all(np.array_equal(a, b) for a, b in zip(prior.query(grid.cells), first))
+        assert all(np.array_equal(a, b[:7]) for a, b in zip(other[1:], first[1:]))
+        assert len(cov_calls) == 3
 
     def test_conditioning_predictions_independent_of_m(self, conditioned, grid, monkeypatch):
         real = ev.lgcp.laplace_predict

@@ -35,7 +35,7 @@ from lgcp_design import (
     woodbury_stable,
 )
 from lgcp_design import lgcp
-from lgcp_design.gp_gaussian import _chol, _clamp_variances, _fit_prior, _query_prior
+from lgcp_design.gp_gaussian import PriorTerms, _chol, _clamp_variances, prior_marginal_var
 from conftest import dense_gaussian_posterior, random_cov
 
 
@@ -414,7 +414,7 @@ def _reference_objective(obs, y, f, mu, alpha):
         return float(np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha)
 
 
-def _reference_fit(model, design_points, y, _prior=None):
+def _reference_fit(model, design_points, y, prior=None):
     """fit_lgcp with scipy's checked Cholesky factor and solves, a fresh
     Fortran-ordered B per iteration and per posterior, the likelihood, its
     gradient and W evaluated separately, and the accepted trial recomputed
@@ -430,8 +430,9 @@ def _reference_fit(model, design_points, y, _prior=None):
     n = X.shape[0]
     obs = model.obs
     obs.check_counts(y)
-    K, mu = _fit_prior(model, X) if _prior is None else _prior
-    K = K + model.jitter * np.eye(n)
+    prior = PriorTerms.at(model, X, prior)
+    mu = prior.mu
+    K = prior.K + model.jitter * np.eye(n)
     f = mu.copy()
     alpha = np.zeros(n)
     obj = _reference_objective(obs, y, f, mu, alpha)
@@ -481,14 +482,23 @@ def _reference_fit(model, design_points, y, _prior=None):
         np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha - 0.5 * log_det_B
     )
     return LatentPosterior(
-        model, X, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
+        prior, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
     )
+
+
+def _prior_query(post, query, want):
+    """The prior terms of a prediction at query points from the posterior's
+    model, built without PriorTerms: the cross-covariance, the prior mean,
+    and the prior marginal variance or covariance."""
+    model = post.model
+    second = model.cov_at(query) if want == "full" else prior_marginal_var(model, query)
+    return model.cov_at(query, post.design_points), model.mean_at(query), second
 
 
 def _reference_predict(post, query, want="marginal"):
     """laplace_predict through scipy's checked triangular solve of tril(L)."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    Kqd, prior_mean, prior_second = _query_prior(post.model, Xq, post.design_points, want)
+    Kqd, prior_mean, prior_second = _prior_query(post, Xq, want)
     mean = prior_mean + Kqd @ post.alpha
     sW = np.sqrt(post.W)
     V = solve_triangular(np.tril(post.chol_B[0]), sW[:, None] * Kqd.T, lower=True)
@@ -529,7 +539,7 @@ class _ObjectiveLog:
         return out
 
 
-def _fit_both(monkeypatch, model, X, y, reject=0, _prior=None):
+def _fit_both(monkeypatch, model, X, y, reject=0, prior=None):
     """Fit with fit_lgcp and the reference; each result is a posterior or
     the exception raised, with the objective's log."""
     results = []
@@ -541,7 +551,7 @@ def _fit_both(monkeypatch, model, X, y, reject=0, _prior=None):
         log = _ObjectiveLog(real, reject)
         monkeypatch.setattr(owner, name, log)
         try:
-            results.append((fit(model, X, y, _prior=_prior), log))
+            results.append((fit(model, X, y, prior=prior), log))
         except (LgcpDesignError, ValueError) as exc:
             results.append((exc, log))
         monkeypatch.setattr(owner, name, real)
@@ -572,7 +582,7 @@ PREDICT_RTOL = 1e-13
 
 
 def _assert_same_predictions(post, ref, query):
-    sd = np.sqrt(_query_prior(post.model, query, post.design_points, "marginal")[2])
+    sd = np.sqrt(prior_marginal_var(post.model, query))
     scale = {"marginal": sd * sd, "full": np.outer(sd, sd)}
     for want in ("marginal", "full"):
         m1, v1 = laplace_predict(post, query, want=want)
@@ -660,9 +670,9 @@ class TestNewtonMatchesReference:
         # an indefinite prior covariance makes B indefinite at the prior mean
         K = np.eye(6) + 0.9 * (np.eye(6, k=1) + np.eye(6, k=-1))
         K[3:, 3:] -= 1.5 * np.eye(3)
-        prior = (K, np.full(6, 0.5))
+        prior = PriorTerms(model, X, K, np.full(6, 0.5))
         y = np.array([0.0, 3.0, 1.0, 2.0, 0.0, 5.0])
-        (exc, _), (ref_exc, _) = _fit_both(monkeypatch, model, X, y, _prior=prior)
+        (exc, _), (ref_exc, _) = _fit_both(monkeypatch, model, X, y, prior=prior)
         assert isinstance(exc, NumericalError) and isinstance(ref_exc, NumericalError)
         assert str(exc) == str(ref_exc)
         assert str(exc).startswith("Cholesky factorization failed: ")
@@ -673,7 +683,7 @@ class TestNewtonMatchesReference:
         K = model.cov_at(X)
         K[1, 2] = K[2, 1] = np.nan
         (exc, _), (ref_exc, _) = _fit_both(
-            monkeypatch, model, X, np.ones(5), _prior=(K, model.mean_at(X))
+            monkeypatch, model, X, np.ones(5), prior=PriorTerms(model, X, K, model.mean_at(X))
         )
         assert type(exc) is type(ref_exc) is ValueError
         assert str(exc) == str(ref_exc)
@@ -876,14 +886,15 @@ class TestPredictionOracle:
         alpha = rng.normal(size=n)
         f = model.mean_at(X) + K @ alpha
         chol_B = (lgcp._factor_B(K, np.sqrt(W)), True)
-        return LatentPosterior(model, X, np.zeros(n), f, W, alpha, chol_B, K), rng.random((40, 3))
+        post = LatentPosterior(PriorTerms.at(model, X), np.zeros(n), f, W, alpha, chol_B, K)
+        return post, rng.random((40, 3))
 
     @pytest.mark.parametrize("n", [5, 50, 150])
     @pytest.mark.parametrize("W", ["1e-8", "1", "1e4", "1e-8..1e4"])
     def test_matches_dense_form(self, n, W):
         W = np.logspace(-8, 4, n) if W == "1e-8..1e4" else np.full(n, float(W))
         post, query = self._posterior(n, W)
-        Kqd, prior_mean, prior_cov = _query_prior(post.model, query, post.design_points, "full")
+        Kqd, prior_mean, prior_cov = _prior_query(post, query, "full")
         dense = prior_cov - Kqd @ cho_solve(cho_factor(post.K + np.diag(1.0 / W), lower=True), Kqd.T)
         sd = np.sqrt(np.diag(prior_cov))
         mean, var = laplace_predict(post, query)
@@ -914,7 +925,7 @@ class TestPredictionOracle:
     def test_zero_W_returns_prior_moments(self, n):
         post, query = self._posterior(n, np.zeros(n))
         for want in ("marginal", "full"):
-            Kqd, prior_mean, prior_second = _query_prior(post.model, query, post.design_points, want)
+            Kqd, prior_mean, prior_second = _prior_query(post, query, want)
             mean, second = laplace_predict(post, query, want=want)
             assert np.array_equal(mean, prior_mean + Kqd @ post.alpha)
             assert np.array_equal(second, prior_second)
