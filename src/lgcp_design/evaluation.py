@@ -58,12 +58,11 @@ def _is_gaussian(model) -> bool:
 
 
 def _apv_value(mean, var, target) -> float:
+    """The APV of ``target``, "latent" or "intensity", checked by the caller."""
     if target == "latent":
         return float(np.mean(var))
-    if target == "intensity":
-        _, ivar = lgcp.intensity_moments(mean, np.maximum(var, 0.0))
-        return float(np.mean(ivar))
-    raise LgcpDesignError(f"unknown APV target {target!r}")
+    _, ivar = lgcp.intensity_moments(mean, np.maximum(var, 0.0))
+    return float(np.mean(ivar))
 
 
 def _points(design):
@@ -144,11 +143,14 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     ``target`` is "latent" (posterior variance of f averaged over the grid)
     or "intensity" (log-normal variance of exp(f)). With a Gaussian
     observation model the posterior variance does not depend on the data, so
-    the estimate is deterministic and the standard error is zero.
+    the estimate is deterministic and the standard error is zero. An unknown
+    ``target`` raises LgcpDesignError before any replicate runs.
     """
     if M < 2:
         raise LgcpDesignError("M must be >= 2")
     criterion = f"apv_{target}"
+    if criterion not in CRITERIA:
+        raise LgcpDesignError(f"unknown APV target {target!r}")
     provenance = getattr(design, "provenance", {})
     points = _points(design)
     if points.shape[0] == 0:
@@ -210,10 +212,21 @@ class ConditionedModel:
         return mean
 
     def cov_at(self, a, b=None):
-        if b is None:
-            _, cov = lgcp.laplace_predict(self.posterior, a, want="full")
-            return cov
-        return _cross_cov(self.posterior, a, b)
+        """Posterior covariance K0(a, b) - (M K0(D, a))^T (M K0(D, b)): K0 is
+        the base prior's covariance, D the conditioning points and M the
+        posterior's whitener (Rasmussen & Williams 2006, Alg. 3.2). With b
+        None, or a itself, V = M K0(D, a) is formed once and the covariance
+        at a is K0(a, a) - V^T V. K0(., D) comes from the base posterior's
+        ``PriorTerms.query``, so a query set it holds is not built again."""
+        post = self.posterior
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
+        cross = [post.prior.query(q)[0].T for q in ((a,) if b is a else (a, b))]
+        if not all(np.isfinite(c).all() for c in cross):
+            # dtrmm does not check its input; this is scipy's error for it
+            raise ValueError("array must not contain infs or NaNs")
+        V = lgcp._whiten(post, *cross)
+        return post.model.cov_at(a, b) - V[0].T @ V[-1]
 
     def var_at(self, points):
         _, var = lgcp.laplace_predict(self.posterior, points)
@@ -233,17 +246,6 @@ def _moments_at(model, points):
     if isinstance(model, ConditionedModel):
         return lgcp.laplace_predict(model.posterior, points)
     return np.asarray(model.mean_at(points), dtype=float), prior_marginal_var(model, points)
-
-
-def _cross_cov(post, a, b):
-    """Posterior cross-covariance between two query sets."""
-    model = post.model
-    Kad = model.cov_at(a, post.design_points)
-    Kdb = model.cov_at(post.design_points, b)
-    if not (np.isfinite(Kad).all() and np.isfinite(Kdb).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    Va, Vb = lgcp._whiten(post, Kad.T, Kdb)
-    return model.cov_at(a, b) - Va.T @ Vb
 
 
 def condition_on_data(model, existing_points, existing_y):

@@ -64,13 +64,11 @@ def prior_marginal_var(model, query) -> np.ndarray:
     return np.diag(model.cov_at(Xq)).copy()
 
 
-def prior_predict(model, query, want: str = "marginal"):
-    """Prior mean and (co)variance at query points (the n = 0 design limit)."""
+def prior_predict(model, query):
+    """Prior mean and marginal variance at query points (the n = 0 design
+    limit); the covariance is ``model.cov_at(query)``."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    mean = model.mean_at(Xq)
-    if want == "full":
-        return mean, model.cov_at(Xq)
-    return mean, prior_marginal_var(model, Xq)
+    return model.mean_at(Xq), prior_marginal_var(model, Xq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,20 +109,20 @@ class PriorTerms:
         chol, _ = _chol(self.K, JITTER_SCALE * max(np.max(np.diag(self.K)), 1.0))
         return np.tril(chol).T
 
-    def query(self, Xq, want: str = "marginal"):
-        """K(Xq, X), the prior mean at Xq, and the prior marginal variance or
-        (``want="full"``) covariance at Xq: K, mu and var (or K) at X itself.
-        The terms of the last other query set are kept, compared by value.
+    def query(self, Xq):
+        """K(Xq, X), the prior mean and the prior marginal variance at Xq: K,
+        mu and var at X itself. The terms of the last other query set are
+        kept, keyed on that set alone and compared by value.
         """
         if np.array_equal(Xq, self.X):
-            return self.K, self.mu, self.K if want == "full" else self.var
+            return self.K, self.mu, self.var
         last = self._last_query
-        if last is None or last[0] != want or not np.array_equal(last[1], Xq):
-            mean, second = prior_predict(self.model, Xq, want)
-            last = want, Xq.copy(), (self.model.cov_at(Xq, self.X), mean, second)
+        if last is None or not np.array_equal(last[0], Xq):
+            mean, var = prior_predict(self.model, Xq)
+            last = Xq.copy(), (self.model.cov_at(Xq, self.X), mean, var)
             # a cache: the one attribute set after construction
             object.__setattr__(self, "_last_query", last)
-        return last[2]
+        return last[1]
 
 
 def sample_prior(model, points, count: int, seed, prior=None) -> np.ndarray:

@@ -404,25 +404,21 @@ def _whiten(post, *cross):
     return [dtrmm(1.0, post._whitener, X, lower=1) for X in cross]
 
 
-def laplace_predict(post: LatentPosterior, query, want: str = "marginal"):
-    """Laplace posterior predictive mean and (co)variance at query points,
-    from the prior terms the posterior's ``PriorTerms`` gives for them."""
+def laplace_predict(post: LatentPosterior, query):
+    """Laplace posterior predictive mean and marginal variance at query
+    points, from the prior terms the posterior's ``PriorTerms`` gives for
+    them. The covariance between query points is
+    ``evaluation.ConditionedModel(model, post).cov_at``."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    Kqd, prior_mean, prior_second = post.prior.query(Xq, want)
+    Kqd, prior_mean, prior_var = post.prior.query(Xq)
     cross = Kqd @ post.alpha
     if not np.all(np.isfinite(cross)):
         # alpha is finite, so Kqd is not; dtrmm does not check its input,
         # and this is scipy's error for it
         raise ValueError("array must not contain infs or NaNs")
-    mean = prior_mean + cross
     (V,) = _whiten(post, Kqd.T)
-    if want == "full":
-        cov = prior_second - V.T @ V
-        return mean, cov
-    if want != "marginal":
-        raise LgcpDesignError(f"unknown prediction kind {want!r}")
-    var = prior_second - np.einsum("ij,ij->j", V, V)
-    return mean, _clamp_variances(var)
+    var = prior_var - np.einsum("ij,ij->j", V, V)
+    return prior_mean + cross, _clamp_variances(var)
 
 
 # ----------------------------------------------------------------------

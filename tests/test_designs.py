@@ -663,9 +663,9 @@ class TestPredictionCount:
         calls = []
         original = lgcp_mod.laplace_predict
 
-        def counting(post, query, want="marginal"):
+        def counting(post, query):
             calls.append(np.atleast_2d(query).shape[0])
-            return original(post, query, want=want)
+            return original(post, query)
 
         monkeypatch.setattr(lgcp_mod, "laplace_predict", counting)
         return calls

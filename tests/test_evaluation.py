@@ -49,13 +49,17 @@ def gauss_model(additive_cov, concave_mean):
     return Model(concave_mean, additive_cov, GaussianObs(0.5))
 
 
-@pytest.fixture
-def conditioned(pois_model):
+def _after_wave1(model):
     """Demo 04's two-stage flow at a small size: the model after wave 1."""
     wave1 = halton(10)
-    f1 = sample_prior(pois_model, wave1.points, 1, seed=7)[0]
-    y1 = sample_counts(pois_model, f1, seed=8).astype(float)
-    return condition_on_data(pois_model, wave1.points, y1)
+    f1 = sample_prior(model, wave1.points, 1, seed=7)[0]
+    y1 = sample_counts(model, f1, seed=8).astype(float)
+    return condition_on_data(model, wave1.points, y1)
+
+
+@pytest.fixture
+def conditioned(pois_model):
+    return _after_wave1(pois_model)
 
 
 class TestDeterminism:
@@ -94,6 +98,32 @@ class TestEmptyDesign:
         empty = Design(np.empty((0, 3)), {})
         est = expected_kl(pois_model, empty, 5)
         assert est.value == 0.0
+
+
+class TestUnknownApvTarget:
+    @pytest.mark.parametrize("case", ["poisson", "gaussian", "empty"])
+    def test_rejected_before_any_draw_or_fit(self, case, pois_model, gauss_model, grid,
+                                             monkeypatch):
+        from lgcp_design.designs import Design
+
+        calls = []
+
+        def counted(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(ev.lgcp, "fit_lgcp")
+        counted(ev.gp_gaussian, "sample_prior")
+        model = gauss_model if case == "gaussian" else pois_model
+        design = Design(np.empty((0, 3)), {}) if case == "empty" else halton(10)
+        with pytest.raises(LgcpDesignError, match="^unknown APV target 'latnet'$"):
+            expected_apv(model, design, grid, 4, seed=0, target="latnet")
+        assert calls == []
 
 
 class TestGaussianShortcut:
@@ -281,6 +311,15 @@ class TestConditioning:
         full = cond.cov_at(q)
         cross = cond.cov_at(q, q)
         assert np.allclose(full, cross, atol=1e-8)
+
+    def test_covariance_whitens_once(self, conditioned):
+        # K0(X, X) - V^T V from one V = M K0(D, X), bit for bit: the draws on
+        # a conditioned prior rest on these bits, and two whitenings of the
+        # same K0(D, X) round differently
+        post = conditioned.posterior
+        X = halton(30, offset=10).points
+        (V,) = ev.lgcp._whiten(post, post.model.cov_at(X, post.design_points).T)
+        assert np.array_equal(conditioned.cov_at(X), post.model.cov_at(X) - V.T @ V)
 
     def test_gaussian_matches_dense_posterior(self, gauss_model):
         rng = np.random.default_rng(3)
@@ -479,12 +518,13 @@ class TestDataIndependentWork:
 
     @pytest.fixture
     def cov_calls(self, monkeypatch):
+        """The (rows, columns) of every cov_matrix call."""
         calls = []
         real = ev.lgcp.cov_matrix
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(a, b, *args, **kwargs):
+            calls.append((len(a), len(b)))
+            return real(a, b, *args, **kwargs)
 
         # modules import cov_matrix by name: replace every reference
         for name, mod in list(sys.modules.items()):
@@ -526,6 +566,28 @@ class TestDataIndependentWork:
         assert all(np.array_equal(a, b) for a, b in zip(prior.query(grid.cells), first))
         assert all(np.array_equal(a, b[:7]) for a, b in zip(other[1:], first[1:]))
         assert len(cov_calls) == 3
+
+    def test_conditioned_cov_matrix_calls(self, pois_model, grid, cov_calls):
+        a = halton(8, offset=10)
+        calls = []
+        for M in (2, 6):
+            # afresh, so that the base posterior's query cache starts empty
+            conditioned = _after_wave1(pois_model)
+            cov_calls.clear()
+            expected_apv(conditioned, a, grid, M, seed=4, target="latent")
+            calls.append(list(cov_calls))
+        # a's prior: K0(a, D), with D the 10 wave-1 points, and K0(a, a); the
+        # grid's prior mean: K0(grid, D); the grid cross-covariance: K0(a, D)
+        # again (the base cache held the grid's) and K0(grid, a)
+        assert calls == [[(8, 10), (8, 8), (100, 10), (8, 10), (100, 8)]] * 2
+
+    def test_conditioned_covariance_then_mean_build_one_cross_covariance(
+            self, conditioned, cov_calls):
+        X = halton(12, offset=10).points
+        conditioned.cov_at(X)
+        conditioned.mean_at(X)
+        # K0(X, D) once, shared through the base posterior's query cache
+        assert cov_calls == [(12, 10), (12, 12)]
 
     def test_conditioning_predictions_independent_of_m(self, conditioned, grid, monkeypatch):
         real = ev.lgcp.laplace_predict

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from lgcp_design import (
+    ConditionedModel,
     GaussianObs,
     MeanFunction,
     Model,
@@ -110,10 +111,10 @@ class TestPredict:
         X = rng.random((6, 3))
         q = rng.random((5, 3))
         post = fit_lgcp(model, X, rng.normal(size=6))
-        mean_m, var = laplace_predict(post, q, want="marginal")
-        mean_f, cov = laplace_predict(post, q, want="full")
-        assert np.allclose(mean_m, mean_f)
-        assert np.allclose(np.diag(cov), var, atol=1e-8)
+        mean, var = laplace_predict(post, q)
+        cond = ConditionedModel(model, post)
+        assert np.array_equal(cond.mean_at(q), mean)
+        assert np.allclose(np.diag(cond.cov_at(q)), var, atol=1e-8)
 
     def test_interpolates_training_data_at_low_noise(self, additive_cov, concave_mean):
         model = Model(concave_mean, additive_cov, GaussianObs(1e-8))

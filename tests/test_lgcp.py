@@ -9,6 +9,7 @@ from scipy.special import gammaln
 from scipy.stats import nbinom
 
 from lgcp_design import (
+    ConditionedModel,
     CovStructure,
     GaussianObs,
     KernelSpec,
@@ -486,25 +487,34 @@ def _reference_fit(model, design_points, y, prior=None):
     )
 
 
-def _prior_query(post, query, want):
+def _prior_query(post, query):
     """The prior terms of a prediction at query points from the posterior's
     model, built without PriorTerms: the cross-covariance, the prior mean,
-    and the prior marginal variance or covariance."""
+    the prior marginal variance and the prior covariance."""
     model = post.model
-    second = model.cov_at(query) if want == "full" else prior_marginal_var(model, query)
-    return model.cov_at(query, post.design_points), model.mean_at(query), second
+    return (
+        model.cov_at(query, post.design_points),
+        model.mean_at(query),
+        prior_marginal_var(model, query),
+        model.cov_at(query),
+    )
 
 
-def _reference_predict(post, query, want="marginal"):
-    """laplace_predict through scipy's checked triangular solve of tril(L)."""
+def _reference_predict(post, query):
+    """laplace_predict's mean and marginal variance, and the covariance
+    ConditionedModel.cov_at gives, through scipy's checked triangular solve
+    of tril(L)."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    Kqd, prior_mean, prior_second = _prior_query(post, Xq, want)
+    Kqd, prior_mean, prior_var, prior_cov = _prior_query(post, Xq)
     mean = prior_mean + Kqd @ post.alpha
     sW = np.sqrt(post.W)
     V = solve_triangular(np.tril(post.chol_B[0]), sW[:, None] * Kqd.T, lower=True)
-    if want == "full":
-        return mean, prior_second - V.T @ V
-    return mean, _clamp_variances(prior_second - np.sum(V * V, axis=0))
+    return mean, _clamp_variances(prior_var - np.sum(V * V, axis=0)), prior_cov - V.T @ V
+
+
+def _posterior_cov(post, query):
+    """The covariance at query points of the model conditioned on post's data."""
+    return ConditionedModel(post.model, post).cov_at(query)
 
 
 class _ObjectiveLog:
@@ -576,19 +586,19 @@ def _assert_same_posterior(post, ref):
     assert post.grad_max == ref.grad_max
 
 
-# laplace_predict multiplies by L^-1 W^1/2 where the reference solves with L,
-# so (co)variances agree to roundoff, not bit for bit
+# laplace_predict and ConditionedModel.cov_at multiply by L^-1 W^1/2 where
+# the reference solves with L, so (co)variances agree to roundoff, not bit for
+# bit
 PREDICT_RTOL = 1e-13
 
 
 def _assert_same_predictions(post, ref, query):
     sd = np.sqrt(prior_marginal_var(post.model, query))
-    scale = {"marginal": sd * sd, "full": np.outer(sd, sd)}
-    for want in ("marginal", "full"):
-        m1, v1 = laplace_predict(post, query, want=want)
-        m2, v2 = _reference_predict(ref, query, want=want)
-        assert np.array_equal(m1, m2), want
-        assert np.all(np.abs(v1 - v2) <= PREDICT_RTOL * scale[want]), want
+    mean, var = laplace_predict(post, query)
+    ref_mean, ref_var, ref_cov = _reference_predict(ref, query)
+    assert np.array_equal(mean, ref_mean)
+    assert np.all(np.abs(var - ref_var) <= PREDICT_RTOL * sd * sd)
+    assert np.all(np.abs(_posterior_cov(post, query) - ref_cov) <= PREDICT_RTOL * np.outer(sd, sd))
 
 
 def _paper_model(obs=None):
@@ -607,7 +617,8 @@ def _replicate(model, X, j, seed=0):
 
 class TestNewtonMatchesReference:
     """fit_lgcp and laplace_predict's mean reproduce the reference bit for
-    bit; laplace_predict's (co)variances agree with it to roundoff."""
+    bit; laplace_predict's variances and ConditionedModel.cov_at's
+    covariances agree with it to roundoff."""
 
     @pytest.mark.parametrize("obs", [
         Poisson(),
@@ -874,8 +885,8 @@ class TestFactorWorkspace:
 
 
 class TestPredictionOracle:
-    """laplace_predict against the dense form K_qq - K_qD (K + diag(1/W))^-1 K_Dq,
-    on posteriors built with a chosen W."""
+    """laplace_predict and ConditionedModel.cov_at against the dense form
+    K_qq - K_qD (K + diag(1/W))^-1 K_Dq, on posteriors built with a chosen W."""
 
     @staticmethod
     def _posterior(n, W, seed=0):
@@ -894,11 +905,11 @@ class TestPredictionOracle:
     def test_matches_dense_form(self, n, W):
         W = np.logspace(-8, 4, n) if W == "1e-8..1e4" else np.full(n, float(W))
         post, query = self._posterior(n, W)
-        Kqd, prior_mean, prior_cov = _prior_query(post, query, "full")
+        Kqd, prior_mean, _, prior_cov = _prior_query(post, query)
         dense = prior_cov - Kqd @ cho_solve(cho_factor(post.K + np.diag(1.0 / W), lower=True), Kqd.T)
         sd = np.sqrt(np.diag(prior_cov))
         mean, var = laplace_predict(post, query)
-        _, cov = laplace_predict(post, query, want="full")
+        cov = _posterior_cov(post, query)
         assert np.array_equal(mean, prior_mean + Kqd @ post.alpha)
         assert np.all(np.abs(var - np.diag(dense)) <= PREDICT_RTOL * sd * sd)
         assert np.all(np.abs(cov - dense) <= PREDICT_RTOL * np.outer(sd, sd))
@@ -916,7 +927,7 @@ class TestPredictionOracle:
         monkeypatch.setattr(lgcp, "dtrtri", counting)
         post, query = self._posterior(20, np.logspace(-2, 2, 20))
         mean, var = laplace_predict(post, query)
-        laplace_predict(post, query, want="full")
+        _posterior_cov(post, query)
         again = laplace_predict(post, query)
         assert len(calls) == 1
         assert np.array_equal(again[0], mean) and np.array_equal(again[1], var)
@@ -924,11 +935,11 @@ class TestPredictionOracle:
     @pytest.mark.parametrize("n", [5, 150])
     def test_zero_W_returns_prior_moments(self, n):
         post, query = self._posterior(n, np.zeros(n))
-        for want in ("marginal", "full"):
-            Kqd, prior_mean, prior_second = _prior_query(post, query, want)
-            mean, second = laplace_predict(post, query, want=want)
-            assert np.array_equal(mean, prior_mean + Kqd @ post.alpha)
-            assert np.array_equal(second, prior_second)
+        Kqd, prior_mean, prior_var, prior_cov = _prior_query(post, query)
+        mean, var = laplace_predict(post, query)
+        assert np.array_equal(mean, prior_mean + Kqd @ post.alpha)
+        assert np.array_equal(var, prior_var)
+        assert np.array_equal(_posterior_cov(post, query), prior_cov)
 
 
 class TestNewtonDiagnostics:
