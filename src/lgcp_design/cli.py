@@ -65,20 +65,26 @@ def _cast(cast, key, value):
         ) from None
 
 
-def _one(config, key, default=None, cast=str):
+def _values(config, key, default):
+    """The values of ``key``, or None for an absent key with a default; an
+    absent key without one, or a key given with no value, is a usage error."""
     if key not in config:
         if default is None:
             raise LgcpDesignError(f"config missing required key {key!r}")
-        return default
-    return _cast(cast, key, config[key][-1])
+        return None
+    if not config[key]:
+        raise LgcpDesignError(f"config key {key!r} has no value")
+    return config[key]
+
+
+def _one(config, key, default=None, cast=str):
+    values = _values(config, key, default)
+    return default if values is None else _cast(cast, key, values[-1])
 
 
 def _many(config, key, cast=str, default=None):
-    if key not in config:
-        if default is None:
-            raise LgcpDesignError(f"config missing required key {key!r}")
-        return default
-    return [_cast(cast, key, v) for v in config[key]]
+    values = _values(config, key, default)
+    return default if values is None else [_cast(cast, key, v) for v in values]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import gp_gaussian, lgcp
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import prior_marginal_var
 from .lgcp import GaussianObs
 
 __all__ = [
@@ -207,9 +206,13 @@ class ConditionedModel:
         self.posterior = posterior
         self.obs = base_model.obs
 
+    def moments_at(self, points):
+        """Latent mean and marginal variance at points, from one prediction;
+        ``gp_gaussian.prior_predict`` answers with it."""
+        return lgcp.laplace_predict(self.posterior, points)
+
     def mean_at(self, points):
-        mean, _ = lgcp.laplace_predict(self.posterior, points)
-        return mean
+        return self.moments_at(points)[0]
 
     def cov_at(self, a, b=None):
         """Posterior covariance K0(a, b) - (M K0(D, a))^T (M K0(D, b)): K0 is
@@ -226,11 +229,13 @@ class ConditionedModel:
             # dtrmm does not check its input; this is scipy's error for it
             raise ValueError("array must not contain infs or NaNs")
         V = lgcp._whiten(post, *cross)
-        return post.model.cov_at(a, b) - V[0].T @ V[-1]
+        # subtracted in place: the base covariance is a fresh array
+        cov = post.model.cov_at(a, b)
+        cov -= V[0].T @ V[-1]
+        return cov
 
     def var_at(self, points):
-        _, var = lgcp.laplace_predict(self.posterior, points)
-        return var
+        return self.moments_at(points)[1]
 
     @property
     def jitter(self):
@@ -239,13 +244,6 @@ class ConditionedModel:
     @property
     def noise_variance(self):
         return self.base_model.noise_variance
-
-
-def _moments_at(model, points):
-    """Latent mean and marginal variance at points, from one prediction."""
-    if isinstance(model, ConditionedModel):
-        return lgcp.laplace_predict(model.posterior, points)
-    return np.asarray(model.mean_at(points), dtype=float), prior_marginal_var(model, points)
 
 
 def condition_on_data(model, existing_points, existing_y):

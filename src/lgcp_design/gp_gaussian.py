@@ -66,9 +66,12 @@ def prior_marginal_var(model, query) -> np.ndarray:
 
 def prior_predict(model, query):
     """Prior mean and marginal variance at query points (the n = 0 design
-    limit); the covariance is ``model.cov_at(query)``."""
+    limit); the covariance is ``model.cov_at(query)``. A model with
+    ``moments_at``, a conditioned one, gives both from one prediction."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    return model.mean_at(Xq), prior_marginal_var(model, Xq)
+    if hasattr(model, "moments_at"):
+        return model.moments_at(Xq)
+    return np.asarray(model.mean_at(Xq), dtype=float), prior_marginal_var(model, Xq)
 
 
 @dataclass(frozen=True, eq=False)

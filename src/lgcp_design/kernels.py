@@ -79,21 +79,51 @@ class CovStructure:
         return self.spatial.variance + self.temporal.variance
 
 
-def matern32(distance, spec: KernelSpec):
-    """Matern nu=3/2 kernel: sigma^2 (1 + sqrt(3) d / l) exp(-sqrt(3) d / l)."""
-    d = np.asarray(distance, dtype=float)
+def _check_distance(d: np.ndarray) -> None:
     if np.any(d < 0):
         raise LgcpDesignError("distance must be nonnegative")
-    z = _SQRT3 * d / spec.lengthscale
-    return spec.variance * (1.0 + z) * np.exp(-z)
+
+
+def _matern32_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = None):
+    """Overwrite the float distances d with the Matern-3/2 kernel and return
+    d. ``buf``, d's shape, holds exp(-z); it is allocated when None."""
+    _check_distance(d)
+    buf = np.empty_like(d) if buf is None else buf
+    np.multiply(_SQRT3, d, out=d)
+    d /= spec.lengthscale
+    np.negative(d, out=buf)
+    np.exp(buf, out=buf)
+    d += 1.0
+    d *= spec.variance
+    d *= buf
+    return d
+
+
+def _sqexp_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = None):
+    """Overwrite the float distances d with the squared-exponential kernel
+    and return d. It needs no scratch, so ``buf`` is ignored."""
+    _check_distance(d)
+    d /= spec.lengthscale
+    d *= d
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d *= spec.variance
+    return d
+
+
+_KERNEL_INTO = {"matern32": _matern32_into, "sqexp": _sqexp_into}
+
+
+def matern32(distance, spec: KernelSpec):
+    """Matern nu=3/2 kernel: sigma^2 (1 + sqrt(3) d / l) exp(-sqrt(3) d / l)."""
+    # computed in a float copy, so the caller's array is never written; a
+    # 0-d result becomes a scalar
+    return _matern32_into(np.array(distance, dtype=float), spec)[()]
 
 
 def sqexp(distance, spec: KernelSpec):
     """Squared-exponential kernel: sigma^2 exp(-d^2 / l^2)."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
-        raise LgcpDesignError("distance must be nonnegative")
-    return spec.variance * np.exp(-((d / spec.lengthscale) ** 2))
+    return _sqexp_into(np.array(distance, dtype=float), spec)[()]
 
 
 def _as_points(p) -> np.ndarray:
@@ -106,34 +136,42 @@ def _as_points(p) -> np.ndarray:
     return arr
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial and temporal distance matrices between point sets a and b.
-
-    Both are built in place from outer differences. The spatial distance is
-    sqrt(d0*d0 + d1*d1) summed in that order, which is how scipy's cdist
-    rounds it, so the two agree bit for bit.
+def _space_distance(a: np.ndarray, b: np.ndarray, out: np.ndarray, work: np.ndarray):
+    """Spatial distances between (k, 3) point sets a and b, written to out;
+    ``work``, out's shape, is scratch. The sum is sqrt(d0*d0 + d1*d1) in that
+    order, which is how scipy's cdist rounds it, so the two agree bit for bit.
     """
-    a = _as_points(a)
-    b = _as_points(b)
-    ds = np.subtract.outer(a[:, 0], b[:, 0])
-    ds *= ds
-    d1 = np.subtract.outer(a[:, 1], b[:, 1])
-    d1 *= d1
-    ds += d1
-    np.sqrt(ds, out=ds)
-    dt = np.subtract.outer(a[:, 2], b[:, 2])
-    np.abs(dt, out=dt)
-    return ds, dt
+    np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    out *= out
+    np.subtract.outer(a[:, 1], b[:, 1], out=work)
+    work *= work
+    out += work
+    return np.sqrt(out, out=out)
+
+
+def _time_distance(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """Temporal distances |t - t'| between (k, 3) point sets, written to out."""
+    np.subtract.outer(a[:, 2], b[:, 2], out=out)
+    return np.abs(out, out=out)
 
 
 def cov_matrix(points_a: np.ndarray, points_b: np.ndarray, cov: CovStructure) -> np.ndarray:
-    """Covariance matrix between two point sets under the given structure."""
-    ds, dt = _pairwise(points_a, points_b)
-    ks = cov.spatial(ds)
-    kt = cov.temporal(dt)
+    """Covariance matrix between two point sets under the given structure.
+
+    It is computed in the array it returns plus one work array of the same
+    shape; a Matern temporal kernel adds a third, for its exp(-z).
+    """
+    a = _as_points(points_a)
+    b = _as_points(points_b)
+    k = np.empty((a.shape[0], b.shape[0]))
+    work = np.empty_like(k)
+    _KERNEL_INTO[cov.spatial.family](_space_distance(a, b, k, work), cov.spatial, work)
+    kt = _KERNEL_INTO[cov.temporal.family](_time_distance(a, b, work), cov.temporal)
     if cov.mode == "separable":
-        return ks * kt
-    return ks + kt
+        k *= kt
+    else:
+        k += kt
+    return k
 
 
 @dataclass(frozen=True)

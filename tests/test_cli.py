@@ -304,6 +304,16 @@ class TestSimstudy:
         assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["M 4\n", "design halton\n"])
+    def test_key_without_value_is_usage_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "s.cfg"
+        key = line.split()[0]
+        cfg.write_text(SIMSTUDY_CONFIG.replace(line, key + "\n"))
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert f"config key {key!r} has no value" in capsys.readouterr().err
+
     def test_missing_config_io_error(self, tmp_path):
         assert main([
             "simstudy", "--config", str(tmp_path / "none.cfg"),

@@ -104,6 +104,23 @@ class TestHalton:
         tail = halton(6, offset=4).points
         assert np.allclose(full[4:], tail)
 
+    @staticmethod
+    def _digit_loop(i, base):
+        """The digit-by-digit radical inverse that _van_der_corput replaces."""
+        v, denom = np.zeros(i.shape), 1.0
+        while i.any():
+            denom *= base
+            i, rem = np.divmod(i, base)
+            v += rem / denom
+        return v
+
+    @pytest.mark.parametrize("base", [2, 3, 5])
+    @pytest.mark.parametrize("start, count", [(1, 5000), (10**6, 5001), (2**40, 101), (0, 1),
+                                              (0, 0)])
+    def test_radical_inverse_matches_digit_loop(self, base, start, count):
+        i = np.arange(start, start + count)
+        assert np.array_equal(dsg._van_der_corput(i, base), self._digit_loop(i, base))
+
 
 class TestSobol:
     def test_matches_scipy(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -16,7 +18,7 @@ from lgcp_design import (
     sqexp,
     unit_cube,
 )
-from lgcp_design.kernels import _pairwise
+from lgcp_design.kernels import _space_distance, _time_distance
 from conftest import random_cov
 
 
@@ -43,6 +45,8 @@ class TestMatern32:
     def test_negative_distance_rejected(self):
         with pytest.raises(LgcpDesignError):
             matern32(-0.1, KernelSpec("matern32", 1.0, 1.0))
+        with pytest.raises(LgcpDesignError):
+            matern32(np.array([0.2, -0.1, np.nan]), KernelSpec("matern32", 1.0, 1.0))
 
 
 class TestSqExp:
@@ -52,6 +56,12 @@ class TestSqExp:
 
     def test_zero_distance(self):
         assert sqexp(0.0, KernelSpec("sqexp", 1.0, 0.5)) == pytest.approx(0.5)
+
+    def test_negative_distance_rejected(self):
+        with pytest.raises(LgcpDesignError):
+            sqexp(-0.1, KernelSpec("sqexp", 1.0, 1.0))
+        with pytest.raises(LgcpDesignError):
+            sqexp(np.array([[0.2], [-0.1]]), KernelSpec("sqexp", 1.0, 1.0))
 
 
 class TestKernelSpecValidation:
@@ -265,12 +275,14 @@ class TestTabulatedMeanLookup:
 
 
 class TestPairwiseMatchesCdist:
-    """_pairwise rounds as scipy's cdist does, bit for bit."""
+    """cov_matrix's distances round as scipy's cdist does, bit for bit."""
 
     @staticmethod
     def _assert_cdist(a, b):
-        ds, dt = _pairwise(a, b)
         a, b = np.atleast_2d(a), np.atleast_2d(b)
+        ds = np.empty((a.shape[0], b.shape[0]))
+        _space_distance(a, b, ds, np.empty_like(ds))
+        dt = _time_distance(a, b, np.empty_like(ds))
         assert np.array_equal(ds, cdist(a[:, :2], b[:, :2]))
         assert np.array_equal(dt, cdist(a[:, 2:3], b[:, 2:3], "cityblock"))
 
@@ -321,3 +333,89 @@ class TestPointShape:
         ints = np.array([[0, 1, 2], [3, 1, 0]])
         assert np.array_equal(cov_matrix(ints, ints, additive_cov),
                               cov_matrix(ints.astype(float), ints.astype(float), additive_cov))
+
+
+# ----------------------------------------------------------------------
+# cov_matrix computes in the array it returns
+
+
+def _matern32_allocating(d, spec):
+    """matern32 as written before it was evaluated in place."""
+    d = np.asarray(d, dtype=float)
+    z = np.sqrt(3.0) * d / spec.lengthscale
+    return spec.variance * (1.0 + z) * np.exp(-z)
+
+
+def _sqexp_allocating(d, spec):
+    """sqexp as written before it was evaluated in place."""
+    d = np.asarray(d, dtype=float)
+    return spec.variance * np.exp(-((d / spec.lengthscale) ** 2))
+
+
+def _cov_allocating(a, b, cov):
+    """cov_matrix as written before it was computed in place: outer
+    differences, cdist-rounded spatial distance, a fresh array per step."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    ds = np.subtract.outer(a[:, 0], b[:, 0])
+    ds *= ds
+    d1 = np.subtract.outer(a[:, 1], b[:, 1])
+    d1 *= d1
+    ds += d1
+    np.sqrt(ds, out=ds)
+    dt = np.abs(np.subtract.outer(a[:, 2], b[:, 2]))
+    kernel = {"matern32": _matern32_allocating, "sqexp": _sqexp_allocating}
+    ks = kernel[cov.spatial.family](ds, cov.spatial)
+    kt = kernel[cov.temporal.family](dt, cov.temporal)
+    return ks * kt if cov.mode == "separable" else ks + kt
+
+
+_FAMILIES = ["matern32", "sqexp"]
+
+
+def _cov(mode, spatial, temporal):
+    return CovStructure(mode, KernelSpec(spatial, 0.4, 1.0 if mode == "separable" else 2.0),
+                        KernelSpec(temporal, 0.85, 2.0))
+
+
+class TestInPlaceCovariance:
+    @pytest.mark.parametrize("mode", ["separable", "additive"])
+    @pytest.mark.parametrize("spatial", _FAMILIES)
+    @pytest.mark.parametrize("temporal", _FAMILIES)
+    def test_matches_allocating_formulas(self, mode, spatial, temporal):
+        cov = _cov(mode, spatial, temporal)
+        rng = np.random.default_rng(17)
+        for rows, cols in ((800, 150), (150, 150), (256, 25), (1, 40), (40, 1), (1, 1)):
+            a = rng.uniform(-1.0, 2.0, (rows, 3))
+            b = rng.uniform(-1.0, 2.0, (cols, 3))
+            assert np.array_equal(cov_matrix(a, b, cov), _cov_allocating(a, b, cov))
+            assert np.array_equal(cov_matrix(a, a, cov), _cov_allocating(a, a, cov))
+
+    @pytest.mark.parametrize("kernel, allocating", [(matern32, _matern32_allocating),
+                                                    (sqexp, _sqexp_allocating)])
+    def test_public_kernels_leave_input_unchanged(self, kernel, allocating):
+        spec = KernelSpec(kernel.__name__, 0.6, 1.7)
+        d = np.random.default_rng(18).random((30, 20))
+        before = d.copy()
+        got = kernel(d, spec)
+        assert np.array_equal(d, before)
+        assert np.array_equal(got, allocating(before, spec))
+        assert np.array_equal(kernel([0.0, 0.5], spec), allocating([0.0, 0.5], spec))
+        scalar = kernel(0.5, spec)
+        assert isinstance(scalar, float) and np.ndim(scalar) == 0
+        assert scalar == allocating(0.5, spec)
+
+    @pytest.mark.parametrize("mode, spatial, temporal, bound", [
+        ("additive", "matern32", "sqexp", 2.2),  # the paper's kernel: two arrays
+        ("separable", "sqexp", "matern32", 3.2),  # a Matern temporal kernel's exp buffer
+    ])
+    def test_peak_memory_over_returned_array(self, mode, spatial, temporal, bound):
+        cov = _cov(mode, spatial, temporal)
+        rng = np.random.default_rng(19)
+        a, b = rng.random((4000, 3)), rng.random((150, 3))
+        tracemalloc.start()
+        try:
+            K = cov_matrix(a, b, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * K.nbytes
