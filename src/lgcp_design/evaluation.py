@@ -7,6 +7,7 @@ bitwise reproducible and independent of execution order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +42,18 @@ class UtilityEstimate:
     replicates: np.ndarray = field(repr=False)
     design_provenance: dict = field(default_factory=dict)
     n_failed: int = 0  # replicates dropped for a NumericalError; M + n_failed were run
+    # each NumericalError message of the dropped replicates -> how many it dropped
+    failure_reasons: dict = field(default_factory=dict)
 
 
-def _summarize(criterion, replicates, provenance, n_failed=0) -> UtilityEstimate:
+def _summarize(criterion, replicates, provenance, failure_reasons=None) -> UtilityEstimate:
     reps = np.asarray(replicates, dtype=float)
     M = reps.size
     se = float(np.std(reps, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+    reasons = dict(failure_reasons or {})
     return UtilityEstimate(
-        criterion, float(np.mean(reps)), se, M, reps, dict(provenance), n_failed
+        criterion, float(np.mean(reps)), se, M, reps, dict(provenance),
+        sum(reasons.values()), reasons,
     )
 
 
@@ -95,8 +100,8 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     SeedSequence(seed, spawn_key=(j, 0)), counts for set d from
     spawn_key=count_key(j, d), and fits each set once. Returns an array of
     shape (sets, criteria, M), NaN where a (set, replicate) cell failed, and
-    the number of failed cells of each set; a cell fills all its criteria or
-    none.
+    for each set a Counter of the NumericalError messages of its failed
+    cells; a cell fills all its criteria or none.
 
     The prior terms do not depend on the replicate, so one ``PriorTerms``
     per set, and one for the union of several sets, is built before the
@@ -110,15 +115,15 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     try:
         draws = gp_gaussian.PriorTerms.at(model, union)
         draws.factor  # built here, so that its failure fails every replicate
-    except NumericalError:
-        return out, np.full(len(point_sets), M)
+    except NumericalError as exc:
+        return out, [Counter({str(exc): M}) for _ in point_sets]
     priors = []
     for pts in point_sets:
         try:
             priors.append(draws if pts is union else gp_gaussian.PriorTerms.at(model, pts))
-        except NumericalError:
-            priors.append(None)
-    failures = np.zeros(len(point_sets), dtype=int)
+        except NumericalError as exc:
+            priors.append(exc)
+    reasons = [Counter() for _ in point_sets]
     for j in range(M):
         draw_seed = np.random.SeedSequence(seed, spawn_key=(j, 0))
         f_union = gp_gaussian.sample_prior(model, union, 1, draw_seed, prior=draws)[0]
@@ -126,14 +131,14 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
             f = f_union[bounds[d]:bounds[d + 1]]
             counts_seed = np.random.SeedSequence(seed, spawn_key=count_key(j, d))
             y = np.asarray(lgcp.sample_counts(model, f, counts_seed), dtype=float)
-            if prior is None:
-                failures[d] += 1
+            if isinstance(prior, NumericalError):
+                reasons[d][str(prior)] += 1
                 continue
             try:
                 out[d, :, j] = _criteria_values(model, y, criteria, grid, prior)
-            except NumericalError:
-                failures[d] += 1
-    return out, failures
+            except NumericalError as exc:
+                reasons[d][str(exc)] += 1
+    return out, reasons
 
 
 def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") -> UtilityEstimate:
@@ -161,10 +166,10 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
         post = lgcp.fit_lgcp(model, points, model.mean_at(points))
         mean, var = lgcp.laplace_predict(post, grid.cells)
         return _summarize(criterion, np.full(M, _apv_value(mean, var, target)), provenance)
-    reps, failures = _replicates(
+    reps, reasons = _replicates(
         model, [points], [criterion], grid, M, seed, lambda j, d: (j, 1)
     )
-    return _finalize(criterion, reps[0, 0], int(failures[0]), M, provenance)
+    return _finalize(criterion, reps[0, 0], reasons[0], M, provenance)
 
 
 def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
@@ -175,18 +180,19 @@ def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
     points = _points(design)
     if points.shape[0] == 0:
         return _summarize("kl", np.zeros(M), provenance)
-    reps, failures = _replicates(model, [points], ["kl"], None, M, seed, lambda j, d: (j, 1))
-    return _finalize("kl", reps[0, 0], int(failures[0]), M, provenance)
+    reps, reasons = _replicates(model, [points], ["kl"], None, M, seed, lambda j, d: (j, 1))
+    return _finalize("kl", reps[0, 0], reasons[0], M, provenance)
 
 
-def _finalize(criterion, reps, failures, M, provenance) -> UtilityEstimate:
+def _finalize(criterion, reps, reasons, M, provenance) -> UtilityEstimate:
+    failures = reasons.total()
     if failures > REPLICATE_FAIL_FRACTION * M:
         raise NumericalError(
             f"{failures} of {M} replicates failed to converge"
         )
     if failures:
         reps = reps[np.isfinite(reps)]
-    return _summarize(criterion, reps, provenance, failures)
+    return _summarize(criterion, reps, provenance, reasons)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +286,8 @@ def compare_designs(
     failed fit drops that replicate from every criterion of its design.
 
     Returns a list of row dicts with keys design_name, criterion, estimate,
-    std_error, M, n_failed (the design's failed replicates), reduction_vs_base_pct,
+    std_error, M, n_failed (the design's failed replicates), failure_reasons
+    (their NumericalError messages -> count), reduction_vs_base_pct,
     replicates.
     """
     for c in criteria:
@@ -291,12 +298,13 @@ def compare_designs(
     for name, base in base_of.items():
         if name not in designs or base not in designs:
             raise LgcpDesignError(f"base_of names unknown design: {name!r} -> {base!r}")
-    reps, failures = _replicates(
+    reps, reasons = _replicates(
         model, [designs[name].points for name in names], criteria, grid, M, seed,
         lambda j, d: (j, 1, d),
     )
-    if failures.sum() > REPLICATE_FAIL_FRACTION * M * len(names):
-        raise NumericalError(f"{failures.sum()} replicate fits failed across designs")
+    failures = sum(r.total() for r in reasons)
+    if failures > REPLICATE_FAIL_FRACTION * M * len(names):
+        raise NumericalError(f"{failures} replicate fits failed across designs")
 
     rows = []
     for d, name in enumerate(names):
@@ -320,7 +328,8 @@ def compare_designs(
                     "estimate": est.value,
                     "std_error": est.std_error,
                     "M": est.M,
-                    "n_failed": int(failures[d]),
+                    "n_failed": reasons[d].total(),
+                    "failure_reasons": dict(reasons[d]),
                     "reduction_vs_base_pct": reduction,
                     "replicates": reps[d, k],
                 }

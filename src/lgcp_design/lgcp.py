@@ -19,7 +19,6 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
-from scipy.special import gammaln
 
 from .exceptions import LgcpDesignError, NumericalError
 from .gp_gaussian import PriorTerms, _clamp_variances
@@ -50,6 +49,23 @@ GH_NODES = 31
 # observation models
 
 
+def _lgamma(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except (OverflowError, ValueError):
+        # above about 2.6e305 the result overflows; 0, -1, ... are poles
+        return math.inf
+
+
+def _log_gamma(x):
+    """log|Gamma(x)| elementwise, as float64 of x's shape (an np.float64 for
+    a scalar): inf where it overflows and at the poles, nan for nan. Built on
+    math.lgamma, so it loads no scipy.special and its bits are CPython's on
+    every platform."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(_lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
+
+
 class _Likelihood:
     """The log likelihood terms, gradient and W of an observation model,
     each from its ``evaluator(y)``; data must be counts unless the model
@@ -76,7 +92,7 @@ class Poisson(_Likelihood):
     def evaluator(self, y):
         """The per-fit map f -> (log likelihood terms, gradient, W) at counts
         y, with log y! formed once and exp(f) shared by the three terms."""
-        log_y_fact = gammaln(y + 1.0)
+        log_y_fact = _log_gamma(y + 1.0)
 
         def evaluate(f):
             rate = np.exp(f)
@@ -113,7 +129,7 @@ class NegativeBinomial(_Likelihood):
         f may carry more columns than y (kl_lemma1's quadrature nodes)."""
         r = self.r
         y_r = y + r
-        const = gammaln(y_r) - gammaln(r) - gammaln(y + 1.0) + r * np.log(r)
+        const = _log_gamma(y_r) - _log_gamma(r) - _log_gamma(y + 1.0) + r * np.log(r)
         volumes = np.asarray(self.volumes)
         if volumes.ndim:
             volumes = volumes.reshape(np.shape(y))

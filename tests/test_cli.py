@@ -38,6 +38,30 @@ class TestStartup:
                               env=env, timeout=120, check=True)
         assert proc.stdout.split() == []
 
+    def test_fit_and_kl_skip_scipy_special(self):
+        # the count constants use math.lgamma; modules that numpy and
+        # scipy.linalg load themselves are the baseline
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys, numpy as np, scipy.linalg\n"
+            "baseline = set(sys.modules)\n"
+            "import lgcp_design as ld, lgcp_design.cli\n"
+            "cov = ld.CovStructure('additive', ld.KernelSpec('matern32', 0.8, 2.0),"
+            " ld.KernelSpec('sqexp', 1.5, 2.0))\n"
+            "mean = ld.MeanFunction.concave_quadratic_time(2.0, 0.5, 30.0)\n"
+            "X = ld.halton(20).points\n"
+            "y = np.arange(20.0) % 5\n"
+            "ld.kl_lemma1(ld.fit_lgcp(ld.Model(mean, cov, ld.Poisson()), X, y))\n"
+            "ld.NegativeBinomial(2.0, np.linspace(0.5, 2.0, 20)).evaluator(y)(np.zeros(20))\n"
+            "print(' '.join(m for m in set(sys.modules) - baseline"
+            " if m.split('.')[:2] == ['scipy', 'special']))"
+        )
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.split() == []
+
 
 class TestConfigParsing:
     def test_repeated_and_multivalue_keys(self, tmp_path):

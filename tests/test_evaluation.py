@@ -222,6 +222,36 @@ class TestFailurePolicy:
         assert est.n_failed == 1
         assert est.M + est.n_failed == 40
 
+    def test_failure_reasons_count_each_message(self, pois_model, monkeypatch):
+        # fits 3 and 7 stall and fit 11 overflows: 3 of 80 replicates fail
+        real = ev.lgcp.fit_lgcp
+        calls = {"i": 0}
+        messages = {3: "stalled", 7: "stalled", 11: "overflow"}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] in messages:
+                raise NumericalError(messages[calls["i"]])
+            return real(*args, **kwargs)
+
+        assert expected_kl(pois_model, halton(10), 80).failure_reasons == {}
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", flaky)
+        est = expected_kl(pois_model, halton(10), 80)
+        assert est.failure_reasons == {"stalled": 2, "overflow": 1}
+        assert est.n_failed == 3 and est.M == 77
+
+    def test_union_factor_failure_is_every_replicate_reason(self, pois_model, monkeypatch):
+        def singular(mat, jitter):
+            raise NumericalError("singular prior")
+
+        monkeypatch.setattr(ev.gp_gaussian, "_chol", singular)
+        point_sets = [halton(8).points, random_design(6, seed=1).points]
+        reps, reasons = ev._replicates(
+            pois_model, point_sets, ["kl"], None, 4, 1, lambda j, d: (j, 1, d)
+        )
+        assert np.isnan(reps).all()
+        assert reasons == [{"singular prior": 4}, {"singular prior": 4}]
+
     def test_union_factor_failure_fails_every_cell(self, pois_model, grid, monkeypatch):
         def singular(mat, jitter):
             raise NumericalError("forced")
@@ -391,6 +421,27 @@ class TestCompareDesigns:
             assert r["n_failed"] == 20 - r["M"]
         a_reps = [r["replicates"] for r in rows if r["design_name"] == "a"]
         assert all(np.isnan(reps[1]) for reps in a_reps)
+
+    def test_rows_carry_failure_reasons(self, pois_model, monkeypatch):
+        # with kl alone, fit i is design a's (i odd) or b's (i even) in
+        # replicate (i - 1) // 2
+        real = ev.lgcp.fit_lgcp
+        calls = {"i": 0}
+        messages = {1: "stalled", 3: "stalled", 4: "overflow"}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] in messages:
+                raise NumericalError(messages[calls["i"]])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", flaky)
+        designs = {"a": halton(10), "b": random_design(10, seed=2)}
+        rows = compare_designs(pois_model, designs, ["kl"], None, 40, seed=0)
+        byname = {r["design_name"]: r for r in rows}
+        assert byname["a"]["failure_reasons"] == {"stalled": 2}
+        assert byname["b"]["failure_reasons"] == {"overflow": 1}
+        assert [byname[d]["n_failed"] for d in "ab"] == [2, 1]
 
     def test_reduction_from_paired_replicates(self, pois_model, grid, monkeypatch):
         # the 3rd KL call is base design a's in replicate 1; b keeps that

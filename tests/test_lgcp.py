@@ -716,14 +716,14 @@ def _separate_terms(obs, y, f):
     formula evaluated on its own with nothing shared or formed ahead: the
     bitwise reference for the evaluators."""
     if isinstance(obs, Poisson):
-        return y * f - np.exp(f) - gammaln(y + 1.0), y - np.exp(f), np.exp(f)
+        return y * f - np.exp(f) - lgcp._log_gamma(y + 1.0), y - np.exp(f), np.exp(f)
     if isinstance(obs, NegativeBinomial):
         r = obs.r
         # per-site volumes are shaped like the counts
         volumes = np.asarray(obs.volumes)
         m = (volumes.reshape(np.shape(y)) if volumes.ndim else volumes) * np.exp(f)
         return (
-            gammaln(y + r) - gammaln(r) - gammaln(y + 1.0) + r * np.log(r)
+            lgcp._log_gamma(y + r) - lgcp._log_gamma(r) - lgcp._log_gamma(y + 1.0) + r * np.log(r)
             + y * np.log(m) - (y + r) * np.log(r + m),
             y - m * (y + r) / (r + m),
             (y + r) * m * r / (r + m) ** 2,
@@ -739,6 +739,42 @@ def _separate_terms(obs, y, f):
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLogGamma:
+    """lgcp._log_gamma against scipy.special.gammaln, and gammaln's contract."""
+
+    @staticmethod
+    def _assert_close(x):
+        got, want = lgcp._log_gamma(x), gammaln(x)
+        large = np.abs(want) > 1.0
+        assert np.all(np.abs(got - want)[large] <= 8 * np.spacing(np.abs(want[large])))
+        assert np.all(np.abs(got - want)[~large] <= 1e-15)
+
+    def test_integers(self):
+        # log y! of every count up to 1e5
+        self._assert_close(np.arange(1.0, 10**5 + 2))
+
+    @pytest.mark.parametrize("r", [0.7, 2.0, 5.0, 10.0])
+    def test_counts_plus_dispersion(self, r):
+        self._assert_close(np.arange(0.0, 10**4 + 1) + r)
+
+    def test_half_integers_and_large(self):
+        self._assert_close(np.array([0.5, 1.5, 1e10, 1e300]))
+
+    def test_shape_dtype_and_scalar(self):
+        x = np.arange(1, 7).reshape(2, 3)
+        got = lgcp._log_gamma(x)
+        assert got.dtype == np.float64 and got.shape == (2, 3)
+        assert type(lgcp._log_gamma(4.0)) is np.float64
+        assert type(lgcp._log_gamma(np.array(4.0))) is np.float64
+        assert lgcp._log_gamma(np.empty((0, 2))).shape == (0, 2)
+
+    def test_overflow_poles_and_nan(self):
+        got = lgcp._log_gamma(np.array([1e308, 0.0, -1.0, np.nan]))
+        assert got[:3].tolist() == [np.inf] * 3
+        assert np.isnan(got[3])
+        assert lgcp._log_gamma(1e308) == np.inf
 
 
 _OBS_MODELS = pytest.mark.parametrize("obs", [
