@@ -27,6 +27,7 @@ from .lgcp import (
     intensity_moments,
     kl_lemma1,
     laplace_predict,
+    mean_latent_variance,
     sample_counts,
     woodbury_direct,
     woodbury_stable,

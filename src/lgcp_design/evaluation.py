@@ -61,10 +61,8 @@ def _is_gaussian(model) -> bool:
     return isinstance(model.obs, GaussianObs)
 
 
-def _apv_value(mean, var, target) -> float:
-    """The APV of ``target``, "latent" or "intensity", checked by the caller."""
-    if target == "latent":
-        return float(np.mean(var))
+def _intensity_apv(mean, var) -> float:
+    """The APV of the intensity from the latent moments at the grid cells."""
     _, ivar = lgcp.intensity_moments(mean, np.maximum(var, 0.0))
     return float(np.mean(ivar))
 
@@ -75,17 +73,20 @@ def _points(design):
 
 def _criteria_values(model, y, criteria, grid, prior) -> list[float]:
     """Every criterion of one data replicate on the points of ``prior``, a
-    ``PriorTerms``, from at most one fit."""
+    ``PriorTerms``, from at most one fit. Only the intensity APV predicts
+    every grid cell; the latent APV needs their mean alone."""
     gaussian = _is_gaussian(model)
     apv = any(c != "kl" for c in criteria)
     # the Gaussian KL has a closed form that needs no fit
     post = lgcp.fit_lgcp(model, prior.X, y, prior=prior) if apv or not gaussian else None
-    if apv:
+    if "apv_intensity" in criteria:
         mean, var = lgcp.laplace_predict(post, grid.cells)
     values = []
     for c in criteria:
-        if c != "kl":
-            values.append(_apv_value(mean, var, c.removeprefix("apv_")))
+        if c == "apv_latent":
+            values.append(lgcp.mean_latent_variance(post, grid.cells))
+        elif c == "apv_intensity":
+            values.append(_intensity_apv(mean, var))
         elif gaussian:
             values.append(gp_gaussian.kl_gaussian_closed_form(model, prior.X, y, prior=prior))
         else:
@@ -148,7 +149,10 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     or "intensity" (log-normal variance of exp(f)). With a Gaussian
     observation model the posterior variance does not depend on the data, so
     the estimate is deterministic and the standard error is zero. An unknown
-    ``target`` raises LgcpDesignError before any replicate runs.
+    ``target`` raises LgcpDesignError before any replicate runs. When more
+    than 5% of the replicates fail, NumericalError is raised; its
+    ``failure_reasons`` maps each message of the failed replicates to its
+    count.
     """
     if M < 2:
         raise LgcpDesignError("M must be >= 2")
@@ -158,14 +162,15 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     provenance = getattr(design, "provenance", {})
     points = _points(design)
     if points.shape[0] == 0:
-        value = _apv_value(*gp_gaussian.prior_predict(model, grid.cells), target)
+        mean, var = gp_gaussian.prior_predict(model, grid.cells)
+        value = float(np.mean(var)) if target == "latent" else _intensity_apv(mean, var)
         return _summarize(criterion, np.full(M, value), provenance)
     # intensity variance depends on the posterior mean, which does vary with
     # the data, so only the latent target has a Gaussian shortcut
     if _is_gaussian(model) and target == "latent":
         post = lgcp.fit_lgcp(model, points, model.mean_at(points))
-        mean, var = lgcp.laplace_predict(post, grid.cells)
-        return _summarize(criterion, np.full(M, _apv_value(mean, var, target)), provenance)
+        value = lgcp.mean_latent_variance(post, grid.cells)
+        return _summarize(criterion, np.full(M, value), provenance)
     reps, reasons = _replicates(
         model, [points], [criterion], grid, M, seed, lambda j, d: (j, 1)
     )
@@ -173,7 +178,8 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
 
 
 def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
-    """Expected KL divergence from prior to posterior over data replicates."""
+    """Expected KL divergence from prior to posterior over data replicates,
+    with ``expected_apv``'s failure budget."""
     if M < 2:
         raise LgcpDesignError("M must be >= 2")
     provenance = getattr(design, "provenance", {})
@@ -187,9 +193,10 @@ def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
 def _finalize(criterion, reps, reasons, M, provenance) -> UtilityEstimate:
     failures = reasons.total()
     if failures > REPLICATE_FAIL_FRACTION * M:
-        raise NumericalError(
-            f"{failures} of {M} replicates failed to converge"
-        )
+        exc = NumericalError(f"{failures} of {M} replicates failed to converge")
+        # each NumericalError message of the failed replicates -> its count
+        exc.failure_reasons = dict(reasons)
+        raise exc
     if failures:
         reps = reps[np.isfinite(reps)]
     return _summarize(criterion, reps, provenance, reasons)
@@ -283,7 +290,10 @@ def compare_designs(
     reduction relative to the base is reported, computed over the replicates
     where both the design and its base succeeded. A name in ``base_of`` that is
     not in ``designs`` raises LgcpDesignError before any replicate runs. A
-    failed fit drops that replicate from every criterion of its design.
+    failed fit drops that replicate from every criterion of its design. When
+    more than 5% of all fits fail, NumericalError is raised; its
+    ``failure_reasons`` maps each design name to its failures' messages and
+    their counts.
 
     Returns a list of row dicts with keys design_name, criterion, estimate,
     std_error, M, n_failed (the design's failed replicates), failure_reasons
@@ -304,7 +314,10 @@ def compare_designs(
     )
     failures = sum(r.total() for r in reasons)
     if failures > REPLICATE_FAIL_FRACTION * M * len(names):
-        raise NumericalError(f"{failures} replicate fits failed across designs")
+        exc = NumericalError(f"{failures} replicate fits failed across designs")
+        # design name -> each NumericalError message of its failures -> count
+        exc.failure_reasons = {name: dict(reasons[d]) for d, name in enumerate(names)}
+        raise exc
 
     rows = []
     for d, name in enumerate(names):

@@ -5,10 +5,13 @@ observation model, ``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
 
 Fitting and prediction under every observation model, the Gaussian one
 included, are ``lgcp.fit_lgcp`` and ``lgcp.laplace_predict``; both read the
-prior from a ``PriorTerms``. All solves go through Cholesky factorizations.
-Negative predicted variances arising from cancellation are clamped to zero,
-and a clamp rate above 0.1% of queries raises NumericalError instead of
-being hidden.
+prior from a ``PriorTerms``, and so does ``lgcp.mean_latent_variance``, from
+the QR factor of a grid cross-covariance. All solves go through Cholesky
+factorizations.
+Negative variances that ``laplace_predict`` predicts through cancellation
+are clamped to zero, and a clamp rate above 0.1% of queries raises
+NumericalError instead of being hidden; ``lgcp.mean_latent_variance`` checks
+its mean instead.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
 from .exceptions import LgcpDesignError, NumericalError
 # cov_matrix is unused here but stays a module attribute: the perfbench
@@ -53,6 +57,20 @@ def _clamp_variances(var: np.ndarray) -> np.ndarray:
     return var
 
 
+def _qr_r(A: np.ndarray) -> np.ndarray:
+    """R of a QR of the N x n matrix A, from LAPACK's dgeqrf with its
+    optimal workspace: upper triangular, min(N, n) x n, and in C order, so
+    that R^T is the Fortran-ordered operand dtrmm takes without a copy. A
+    non-finite A raises ValueError."""
+    if not np.isfinite(A).all():
+        # dgeqrf does not check its input; this is scipy's error for it
+        raise ValueError("array must not contain infs or NaNs")
+    rows, cols = A.shape
+    # a Householder QR has no failure mode; info reports only bad arguments
+    qr = dgeqrf(A, lwork=int(dgeqrf_lwork(rows, cols)[0]))[0]
+    return np.ascontiguousarray(np.triu(qr[: min(rows, cols)]))
+
+
 def prior_marginal_var(model, query) -> np.ndarray:
     """Prior marginal variances at query points without forming the full matrix."""
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
@@ -78,17 +96,18 @@ def prior_predict(model, query):
 class PriorTerms:
     """The terms of the GP prior at points X that no data set changes: K
     (without jitter) and mu, and, built on first use, the prior variance at
-    X, the draw factor and the terms of a prediction at other points
-    (Rasmussen & Williams 2006, Alg. 3.2). One per point set, passed as
-    ``prior=``, serves every fit and draw on it and the predictions of
-    their posteriors.
+    X, the draw factor, the terms of a prediction at other points
+    (Rasmussen & Williams 2006, Alg. 3.2) and those of a mean posterior
+    variance over them. One per point set, passed as ``prior=``, serves
+    every fit and draw on it and the predictions of their posteriors.
     """
 
     model: object
     X: np.ndarray
     K: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
-    _last_query: tuple | None = field(default=None, init=False, repr=False)
+    # [Xq, query(Xq), query_qr(Xq) or None until first asked for]
+    _last_query: list | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def at(cls, model, points, terms=None):
@@ -122,10 +141,28 @@ class PriorTerms:
         last = self._last_query
         if last is None or not np.array_equal(last[0], Xq):
             mean, var = prior_predict(self.model, Xq)
-            last = Xq.copy(), (self.model.cov_at(Xq, self.X), mean, var)
+            last = [Xq.copy(), (self.model.cov_at(Xq, self.X), mean, var), None]
             # a cache: the one attribute set after construction
             object.__setattr__(self, "_last_query", last)
         return last[1]
+
+    def query_qr(self, Xq):
+        """R, upper triangular and min(N, n) x n, of a QR of K(Xq, X) for N
+        query points, and the mean prior variance over Xq. Q has orthonormal
+        columns, so ||A K(X, Xq)||_F = ||A R^T||_F for every A with n columns
+        (Golub & Van Loan 2013, sec. 2.3 and 5.2). Kept with the terms of the
+        last query set, so one QR serves every posterior on these points;
+        at X itself it is built on each call.
+        """
+        Kqd, _, var = self.query(Xq)
+        last = self._last_query
+        kept = last is not None and last[1][0] is Kqd
+        if kept and last[2] is not None:
+            return last[2]
+        out = _qr_r(Kqd), float(np.mean(var))
+        if kept:
+            last[2] = out
+        return out
 
 
 def sample_prior(model, points, count: int, seed, prior=None) -> np.ndarray:

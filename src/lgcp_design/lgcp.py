@@ -32,6 +32,7 @@ __all__ = [
     "LatentPosterior",
     "fit_lgcp",
     "laplace_predict",
+    "mean_latent_variance",
     "kl_lemma1",
     "intensity_moments",
     "sample_counts",
@@ -43,6 +44,9 @@ NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 LINE_SEARCH_HALVINGS = 30
 GH_NODES = 31
+# a mean posterior variance below zero by more than this share of the mean
+# prior variance is reported, not clamped
+VARIANCE_ROUNDOFF = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +439,29 @@ def laplace_predict(post: LatentPosterior, query):
     (V,) = _whiten(post, Kqd.T)
     var = prior_var - np.einsum("ij,ij->j", V, V)
     return prior_mean + cross, _clamp_variances(var)
+
+
+def mean_latent_variance(post: LatentPosterior, query) -> float:
+    """Mean Laplace posterior variance of f over N query points: the latent
+    APV. It is the mean prior variance minus ||M K(X, query)||_F^2 / N, with
+    M the whitener ``laplace_predict`` applies, and the norm is taken as
+    ||M R^T||_F^2 with R from the QR of K(query, X) that the posterior's
+    ``PriorTerms.query_qr`` builds once per query set (Rasmussen & Williams
+    2006, Alg. 3.2). So each posterior costs O(n^3), where the N variances
+    of ``laplace_predict`` cost O(N n^2); the two agree to roundoff. A mean
+    below zero by more than ``VARIANCE_ROUNDOFF`` of the mean prior variance
+    raises NumericalError, and one within it is 0.
+    """
+    Xq = np.atleast_2d(np.asarray(query, dtype=float))
+    R, prior_var = post.prior.query_qr(Xq)
+    (V,) = _whiten(post, R.T)
+    V = V.ravel(order="K")
+    var = prior_var - float(V @ V) / Xq.shape[0]
+    if var < 0.0:
+        if var < -VARIANCE_ROUNDOFF * prior_var:
+            raise NumericalError(f"mean posterior variance came out negative: {var}")
+        var = 0.0
+    return var
 
 
 # ----------------------------------------------------------------------

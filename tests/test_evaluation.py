@@ -10,6 +10,7 @@ from lgcp_design import (
     LgcpDesignError,
     MeanFunction,
     Model,
+    NegativeBinomial,
     NumericalError,
     Poisson,
     PriorTerms,
@@ -24,6 +25,7 @@ from lgcp_design import (
     kl_gaussian_closed_form,
     kl_lemma1,
     laplace_predict,
+    mean_latent_variance,
     random_design,
     rejection_wrap,
     sample_counts,
@@ -239,6 +241,40 @@ class TestFailurePolicy:
         est = expected_kl(pois_model, halton(10), 80)
         assert est.failure_reasons == {"stalled": 2, "overflow": 1}
         assert est.n_failed == 3 and est.M == 77
+
+    def test_over_budget_error_carries_reasons(self, pois_model, grid, monkeypatch):
+        real = ev.lgcp.fit_lgcp
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            # fits 1, 3, 5 and 7 of 8 fail, with two messages
+            calls["i"] += 1
+            if calls["i"] % 2:
+                raise NumericalError("stalled" if calls["i"] % 4 == 1 else "overflow")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", flaky)
+        with pytest.raises(NumericalError) as info:
+            expected_apv(pois_model, halton(10), grid, 8, seed=1, target="latent")
+        assert str(info.value) == "4 of 8 replicates failed to converge"
+        assert info.value.failure_reasons == {"stalled": 2, "overflow": 2}
+
+    def test_compare_over_budget_error_carries_reasons_per_design(self, pois_model, grid,
+                                                                 monkeypatch):
+        real = ev.lgcp.fit_lgcp
+        b = random_design(6, seed=1)
+
+        def failing_b(model, points, *args, **kwargs):
+            if np.array_equal(points, b.points):
+                raise NumericalError("stalled")
+            return real(model, points, *args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", failing_b)
+        with pytest.raises(NumericalError) as info:
+            compare_designs(pois_model, {"a": halton(8), "b": b}, ["apv_latent", "kl"], grid, 4,
+                            seed=1)
+        assert str(info.value) == "4 replicate fits failed across designs"
+        assert info.value.failure_reasons == {"a": {}, "b": {"stalled": 4}}
 
     def test_union_factor_failure_is_every_replicate_reason(self, pois_model, monkeypatch):
         def singular(mat, jitter):
@@ -526,8 +562,7 @@ class TestSeedScheme:
                     assert np.isnan(got[(name, "apv_latent")][j])
                     assert np.isnan(got[(name, "kl")][j])
                     continue
-                _, var = laplace_predict(post, grid.cells)
-                assert got[(name, "apv_latent")][j] == float(np.mean(var))
+                assert got[(name, "apv_latent")][j] == mean_latent_variance(post, grid.cells)
                 assert got[(name, "kl")][j] == kl_lemma1(post)
 
     def test_conditioned_replicates(self, conditioned, grid):
@@ -603,6 +638,37 @@ class TestDataIndependentWork:
         calls = {"expected_kl": 1, "expected_apv": 2, "compare_designs": 5}[entry]
         assert counts == [calls, calls]
 
+    @pytest.mark.parametrize("entry", ["expected_apv", "gaussian", "conditioned",
+                                       "compare_designs", "intensity"])
+    def test_qr_calls_independent_of_m(self, entry, pois_model, gauss_model, grid,
+                                       monkeypatch):
+        real, calls = ev.gp_gaussian.dgeqrf, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.gp_gaussian, "dgeqrf", counting)
+        a, b = halton(10, offset=10), random_design(8, seed=2)
+        run = {
+            "expected_apv": lambda M: expected_apv(pois_model, a, grid, M, seed=3),
+            "gaussian": lambda M: expected_apv(gauss_model, a, grid, M, seed=3),
+            "conditioned": lambda M: expected_apv(_after_wave1(pois_model), a, grid, M, seed=3),
+            "compare_designs": lambda M: compare_designs(
+                pois_model, {"a": a, "b": b}, ["apv_latent", "apv_intensity", "kl"], grid, M,
+                seed=3),
+            "intensity": lambda M: expected_apv(pois_model, a, grid, M, seed=3,
+                                                target="intensity"),
+        }[entry]
+        counts = []
+        for M in (2, 6):
+            calls.clear()
+            run(M)
+            counts.append(len(calls))
+        # one QR per design whose latent APV is asked for
+        qrs = {"compare_designs": 2, "intensity": 0}.get(entry, 1)
+        assert counts == [qrs, qrs]
+
     def test_query_terms_of_the_last_query_set_are_kept(self, pois_model, grid, cov_calls):
         X = halton(6).points
         prior = PriorTerms.at(pois_model, X)
@@ -659,6 +725,98 @@ class TestDataIndependentWork:
                             seed=4)
             counts.append(sum(calls))
         assert counts[0] == counts[1] > 0
+
+
+def _variance_override(model, var):
+    """``model``, except that its prior marginal variance is ``var`` everywhere."""
+
+    class Override:
+        obs = model.obs
+        jitter = model.jitter
+        mean_at = staticmethod(model.mean_at)
+        cov_at = staticmethod(model.cov_at)
+
+        @staticmethod
+        def var_at(points):
+            return np.full(points.shape[0], var)
+
+    return Override()
+
+
+class TestMeanLatentVariance:
+    """The latent APV from one QR per query set equals the mean of the
+    per-cell Laplace variances."""
+
+    @pytest.mark.parametrize("case", ["poisson", "conditioned", "gaussian", "negbin_volumes",
+                                      "fewer_cells"])
+    def test_matches_mean_of_predicted_variances(self, case, pois_model, gauss_model,
+                                                 additive_cov, concave_mean, grid):
+        X = halton(12, offset=10).points
+        cells = grid.cells[:7] if case == "fewer_cells" else grid.cells
+        model = {
+            "conditioned": lambda: _after_wave1(pois_model),
+            "gaussian": lambda: gauss_model,
+            "negbin_volumes": lambda: Model(
+                concave_mean, additive_cov, NegativeBinomial(2.0, np.linspace(0.5, 2.0, 12))),
+        }.get(case, lambda: pois_model)()
+        f = sample_prior(model, X, 1, seed=5)[0]
+        y = np.asarray(sample_counts(model, f, seed=6), dtype=float)
+        post = fit_lgcp(model, X, y)
+        value = mean_latent_variance(post, cells)
+        assert post.prior.query_qr(cells)[0].shape == (min(len(cells), 12), 12)
+        expected = float(np.mean(laplace_predict(post, cells)[1]))
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert 0.0 < value < float(np.mean(ev.gp_gaussian.prior_predict(model, cells)[1]))
+
+    def test_latent_apv_predicts_no_grid_cell(self, pois_model, gauss_model, grid,
+                                              monkeypatch):
+        real, rows = ev.lgcp.laplace_predict, []
+
+        def counting(post, query):
+            rows.append(len(query))
+            return real(post, query)
+
+        monkeypatch.setattr(ev.lgcp, "laplace_predict", counting)
+        a = halton(10)
+        expected_apv(pois_model, a, grid, 3, seed=1, target="latent")
+        expected_apv(gauss_model, a, grid, 3, seed=1, target="latent")
+        assert rows == []
+        compare_designs(pois_model, {"a": a}, ["apv_latent", "apv_intensity", "kl"], grid, 3,
+                        seed=1)
+        # the intensity APV's grid prediction and the KL's at the design points
+        assert sorted(rows) == [10] * 3 + [len(grid.cells)] * 3
+
+    @pytest.mark.parametrize("shortfall", [1e-12, 1e-6])
+    def test_negative_mean_clamped_only_at_roundoff(self, shortfall, pois_model, grid):
+        # a prior variance below the variance the data explain, by shortfall
+        X = halton(12).points
+        f = sample_prior(pois_model, X, 1, seed=5)[0]
+        y = sample_counts(pois_model, f, seed=6).astype(float)
+        post = fit_lgcp(pois_model, X, y)
+        explained = pois_model.cov.total_variance - mean_latent_variance(post, grid.cells)
+        model = _variance_override(pois_model, explained * (1.0 - shortfall))
+        short = fit_lgcp(model, X, y)
+        if shortfall < ev.lgcp.VARIANCE_ROUNDOFF:
+            assert mean_latent_variance(short, grid.cells) == 0.0
+        else:
+            with pytest.raises(NumericalError, match="^mean posterior variance came out negative"):
+                mean_latent_variance(short, grid.cells)
+
+    def test_negative_mean_fails_the_replicate(self, pois_model, grid):
+        model = _variance_override(pois_model, 0.0)
+        with pytest.raises(NumericalError, match="^4 of 4 replicates failed to converge$") as info:
+            expected_apv(model, halton(12), grid, 4, seed=1, target="latent")
+        reasons = info.value.failure_reasons
+        assert sum(reasons.values()) == 4
+        assert all(r.startswith("mean posterior variance came out negative") for r in reasons)
+
+    def test_nonfinite_cross_covariance_rejected(self, pois_model, grid):
+        X = halton(6).points
+        post = fit_lgcp(pois_model, X, np.ones(6))
+        cells = grid.cells.copy()
+        cells[3, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mean_latent_variance(post, cells)
 
 
 class TestComparisonCsv:
