@@ -16,7 +16,7 @@ from .domain import (
     unit_cube,
 )
 from .kernels import CovStructure, KernelSpec, MeanFunction, cov_matrix, matern32, mean_eval, sqexp
-from .gp_gaussian import PriorTerms, kl_gaussian_closed_form, prior_predict, sample_prior
+from .gp_gaussian import PriorTerms, kl_gaussian_closed_form, sample_prior
 from .lgcp import (
     GaussianObs,
     LatentPosterior,

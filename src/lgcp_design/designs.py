@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .domain import Domain, from_unit_cube, is_admissible, to_unit_cube, unit_cube
 from .exceptions import DegenerateFieldError, InfeasibleDesignError, LgcpDesignError
-from .gp_gaussian import prior_predict
 
 __all__ = [
     "Design",
@@ -248,25 +246,27 @@ def simple_inhibitory(n: int, delta: float, domain: Domain | None = None, seed=0
     if delta <= 0:
         raise LgcpDesignError("delta must be positive")
     rng = np.random.default_rng(seed)
+    # the accepted unit-cube points are the first k rows
+    accepted = np.empty((n, 3))
     for _restart in range(INHIBITORY_MAX_RESTARTS):
-        accepted: list[np.ndarray] = []
-        failures = 0
-        while len(accepted) < n:
+        k = failures = 0
+        while k < n:
             u = rng.random(3)
             p = from_unit_cube(u, domain)
             ok = is_admissible(p, domain)
-            if ok and accepted:
-                d = np.sqrt(np.sum((np.array(accepted) - u) ** 2, axis=1))
+            if ok and k:
+                d = np.sqrt(np.sum((accepted[:k] - u) ** 2, axis=1))
                 ok = bool(np.min(d) >= delta)
             if ok:
-                accepted.append(u)
+                accepted[k] = u
+                k += 1
                 failures = 0
             else:
                 failures += 1
                 if failures >= INHIBITORY_FAIL_LIMIT:
                     break
-        if len(accepted) == n:
-            pts = from_unit_cube(np.array(accepted), domain)
+        if k == n:
+            pts = from_unit_cube(accepted, domain)
             return Design(
                 pts,
                 {"generator": "min_dran", "n": n, "delta": delta, "seed": seed},
@@ -431,11 +431,10 @@ class InclusionProbability:
     def build(cls, variant, model, grid, p_max=None) -> "InclusionProbability":
         """Construct from a model's mean/variance fields, normalized over a grid.
 
-        ``model`` is anything exposing mean_at/cov_at (a prior model or a
-        posterior-conditioned one). Mean and variance come from one
-        prediction per call.
+        ``model`` is a prior model or a posterior-conditioned one; mean and
+        variance come from one ``model.moments_at`` call per evaluation.
         """
-        moments_fn = partial(prior_predict, model)
+        moments_fn = model.moments_at
         mu, s2 = moments_fn(grid.cells)
         if variant == "scaled_latent_mean":
             lo, hi = float(np.min(mu)), float(np.max(mu))

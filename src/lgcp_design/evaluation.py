@@ -63,7 +63,7 @@ def _is_gaussian(model) -> bool:
 
 def _intensity_apv(mean, var) -> float:
     """The APV of the intensity from the latent moments at the grid cells."""
-    _, ivar = lgcp.intensity_moments(mean, np.maximum(var, 0.0))
+    _, ivar = lgcp.intensity_moments(mean, var)
     return float(np.mean(ivar))
 
 
@@ -162,7 +162,7 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
     provenance = getattr(design, "provenance", {})
     points = _points(design)
     if points.shape[0] == 0:
-        mean, var = gp_gaussian.prior_predict(model, grid.cells)
+        mean, var = model.moments_at(grid.cells)
         value = float(np.mean(var)) if target == "latent" else _intensity_apv(mean, var)
         return _summarize(criterion, np.full(M, value), provenance)
     # intensity variance depends on the posterior mean, which does vary with
@@ -220,8 +220,9 @@ class ConditionedModel:
         self.obs = base_model.obs
 
     def moments_at(self, points):
-        """Latent mean and marginal variance at points, from one prediction;
-        ``gp_gaussian.prior_predict`` answers with it."""
+        """Latent mean and marginal variance at points, from one prediction:
+        the prior moments of this model, as ``Model.moments_at`` gives them
+        for a prior one."""
         return lgcp.laplace_predict(self.posterior, points)
 
     def mean_at(self, points):
@@ -253,10 +254,6 @@ class ConditionedModel:
     @property
     def jitter(self):
         return self.base_model.jitter
-
-    @property
-    def noise_variance(self):
-        return self.base_model.noise_variance
 
 
 def condition_on_data(model, existing_points, existing_y):

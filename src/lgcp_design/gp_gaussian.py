@@ -1,7 +1,8 @@
 """The Gaussian-process prior: its data-independent terms at a point set
-(``PriorTerms``), prior sampling and prior prediction, the variance clamp of
-every prediction, and the closed-form KL divergence of the Gaussian
-observation model, ``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
+(``PriorTerms``, which reads the prior moments from ``model.moments_at``),
+prior sampling, the variance clamp of every prediction, and the closed-form
+KL divergence of the Gaussian observation model,
+``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
 
 Fitting and prediction under every observation model, the Gaussian one
 included, are ``lgcp.fit_lgcp`` and ``lgcp.laplace_predict``; both read the
@@ -26,11 +27,10 @@ from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 from .exceptions import LgcpDesignError, NumericalError
 # cov_matrix is unused here but stays a module attribute: the perfbench
 # tracer test checks that it is wrapped in every module that imports it
-from .kernels import JITTER_SCALE, CovStructure, cov_matrix  # noqa: F401
+from .kernels import JITTER_SCALE, cov_matrix  # noqa: F401
 
 __all__ = [
     "PriorTerms",
-    "prior_predict",
     "sample_prior",
     "kl_gaussian_closed_form",
 ]
@@ -71,27 +71,6 @@ def _qr_r(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.triu(qr[: min(rows, cols)]))
 
 
-def prior_marginal_var(model, query) -> np.ndarray:
-    """Prior marginal variances at query points without forming the full matrix."""
-    Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    if hasattr(model, "var_at"):
-        return np.asarray(model.var_at(Xq), dtype=float)
-    cov = getattr(model, "cov", None)
-    if isinstance(cov, CovStructure):
-        return np.full(Xq.shape[0], cov.total_variance)
-    return np.diag(model.cov_at(Xq)).copy()
-
-
-def prior_predict(model, query):
-    """Prior mean and marginal variance at query points (the n = 0 design
-    limit); the covariance is ``model.cov_at(query)``. A model with
-    ``moments_at``, a conditioned one, gives both from one prediction."""
-    Xq = np.atleast_2d(np.asarray(query, dtype=float))
-    if hasattr(model, "moments_at"):
-        return model.moments_at(Xq)
-    return np.asarray(model.mean_at(Xq), dtype=float), prior_marginal_var(model, Xq)
-
-
 @dataclass(frozen=True, eq=False)
 class PriorTerms:
     """The terms of the GP prior at points X that no data set changes: K
@@ -122,7 +101,7 @@ class PriorTerms:
 
     @cached_property
     def var(self) -> np.ndarray:
-        return prior_marginal_var(self.model, self.X)
+        return self.model.moments_at(self.X)[1]
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -140,7 +119,7 @@ class PriorTerms:
             return self.K, self.mu, self.var
         last = self._last_query
         if last is None or not np.array_equal(last[0], Xq):
-            mean, var = prior_predict(self.model, Xq)
+            mean, var = self.model.moments_at(Xq)
             last = [Xq.copy(), (self.model.cov_at(Xq, self.X), mean, var), None]
             # a cache: the one attribute set after construction
             object.__setattr__(self, "_last_query", last)
@@ -192,7 +171,7 @@ def kl_gaussian_closed_form(model, design_points, y, prior=None) -> float:
     K, mu, n = prior.K, prior.mu, prior.X.shape[0]
     jitter = model.jitter
     Kj = K + jitter * np.eye(n)
-    chol_noisy = _chol(K + model.noise_variance * np.eye(n), jitter)
+    chol_noisy = _chol(K + model.obs.noise_variance * np.eye(n), jitter)
     resid = y - mu
     mu1 = K @ cho_solve(chol_noisy, resid)
     K1 = Kj - K @ cho_solve(chol_noisy, K)

@@ -211,18 +211,18 @@ class Model:
     def mean_at(self, points) -> np.ndarray:
         return np.atleast_1d(mean_eval(points, self.mean))
 
+    def moments_at(self, points):
+        """Prior mean and marginal variance at points; the covariance is
+        stationary, so the variance is its total variance everywhere."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        return self.mean_at(X), np.full(X.shape[0], self.cov.total_variance)
+
     def cov_at(self, a, b=None) -> np.ndarray:
         return cov_matrix(a, a if b is None else b, self.cov)
 
     @property
     def jitter(self) -> float:
         return JITTER_SCALE * self.cov.total_variance
-
-    @property
-    def noise_variance(self) -> float:
-        if isinstance(self.obs, GaussianObs):
-            return self.obs.noise_variance
-        raise LgcpDesignError("noise_variance only defined for Gaussian observations")
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +481,7 @@ def kl_lemma1(post: LatentPosterior, nodes: int = GH_NODES) -> float:
     """
     mean, var = laplace_predict(post, post.design_points)
     x, w = _gh_nodes(nodes)
-    scale = np.sqrt(2.0 * np.maximum(var, 0.0))
+    scale = np.sqrt(2.0 * var)
     # nodes broadcast: (n, nodes)
     f = mean[:, None] + scale[:, None] * x[None, :]
     ll = post.model.obs.loglik(post.y[:, None], f)

@@ -49,7 +49,7 @@ def dense_gaussian_posterior(model, X, y, query):
     marginal likelihood. K carries the model's jitter, as fits do."""
     n = X.shape[0]
     noisy = cho_factor(
-        model.cov_at(X) + (model.jitter + model.noise_variance) * np.eye(n), lower=True
+        model.cov_at(X) + (model.jitter + model.obs.noise_variance) * np.eye(n), lower=True
     )
     Kqd = model.cov_at(query, X)
     resid = y - model.mean_at(X)

@@ -47,7 +47,7 @@ class _MatrixModel:
     def __init__(self, K, mu, noise_variance):
         self.K = K
         self.mu = mu
-        self.noise_variance = noise_variance
+        self.obs = ld.GaussianObs(noise_variance)
         self.jitter = 0.0
 
     def _idx(self, pts):

@@ -312,10 +312,10 @@ class TestFailurePolicy:
             cov_at = staticmethod(pois_model.cov_at)
 
             @staticmethod
-            def var_at(points):
+            def moments_at(points):
                 if np.array_equal(points, b.points):
                     raise NumericalError("forced")
-                return np.full(points.shape[0], pois_model.cov.total_variance)
+                return pois_model.moments_at(points)
 
         model = FailingVariance()
         # kl predicts at the design points, so only design b's cells fail
@@ -341,6 +341,76 @@ class TestPriorTerms:
                       PriorTerms.at(other_model, X)):
             with pytest.raises(LgcpDesignError, match="^prior terms were built for another"):
                 run(prior)
+
+
+def _interface_only(model):
+    """``model`` behind the model interface alone: obs, jitter, mean_at,
+    moments_at and cov_at, with no var_at, cov or noise_variance."""
+
+    class Stub:
+        obs = model.obs
+        jitter = model.jitter
+        mean_at = staticmethod(model.mean_at)
+        moments_at = staticmethod(model.moments_at)
+        cov_at = staticmethod(model.cov_at)
+
+    return Stub()
+
+
+def _same(a, b):
+    """Equal bit for bit, arrays (NaN included), dicts, lists and the
+    fields of estimates too."""
+    if isinstance(a, ev.UtilityEstimate):
+        return type(b) is ev.UtilityEstimate and _same(vars(a), vars(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+class TestModelInterface:
+    def test_prior_moments(self, pois_model, conditioned, grid):
+        q = grid.cells
+        mean, var = pois_model.moments_at(q)
+        assert np.array_equal(mean, pois_model.mean_at(q))
+        assert np.array_equal(var, np.full(len(q), pois_model.cov.total_variance))
+        mean, var = conditioned.moments_at(q)
+        assert np.array_equal(mean, conditioned.mean_at(q))
+        assert np.array_equal(var, conditioned.var_at(q))
+
+    @pytest.mark.parametrize("kind", ["poisson", "gaussian"])
+    def test_stub_gives_the_wrapped_models_results(self, kind, pois_model, gauss_model, grid):
+        model = pois_model if kind == "poisson" else gauss_model
+        stub = _interface_only(model)
+        for attr in ("var_at", "cov", "noise_variance"):
+            assert not hasattr(stub, attr)
+        X = halton(12).points
+
+        def run(m):
+            f = sample_prior(m, X, 2, seed=5)
+            y = np.asarray(sample_counts(m, f[0], seed=6), dtype=float)
+            post = fit_lgcp(m, X, y)
+            incl = InclusionProbability.build("expected_intensity", m, grid)
+            designs = {"a": halton(8), "b": random_design(6, seed=1)}
+            return [
+                f, y, post.f_hat, post.log_marginal,
+                laplace_predict(post, grid.cells),
+                kl_lemma1(post),
+                incl.at(grid.cells),
+                rejection_wrap("halton", incl, 10, seed=3).points,
+                compare_designs(m, designs, ["apv_latent", "apv_intensity", "kl"], grid, 3,
+                                seed=2),
+                expected_apv(m, np.empty((0, 3)), grid, 2, target="latent"),
+                expected_apv(m, np.empty((0, 3)), grid, 2, target="intensity"),
+                expected_apv(m, halton(8), grid, 3, seed=4, target="latent"),
+                expected_apv(m, halton(8), grid, 3, seed=4, target="intensity"),
+                expected_kl(m, halton(8), 3, seed=4),
+            ]
+
+        assert _same(run(stub), run(model))
 
 
 class TestConditioning:
@@ -737,8 +807,8 @@ def _variance_override(model, var):
         cov_at = staticmethod(model.cov_at)
 
         @staticmethod
-        def var_at(points):
-            return np.full(points.shape[0], var)
+        def moments_at(points):
+            return model.mean_at(points), np.full(points.shape[0], var)
 
     return Override()
 
@@ -766,7 +836,7 @@ class TestMeanLatentVariance:
         assert post.prior.query_qr(cells)[0].shape == (min(len(cells), 12), 12)
         expected = float(np.mean(laplace_predict(post, cells)[1]))
         assert value == pytest.approx(expected, rel=1e-12)
-        assert 0.0 < value < float(np.mean(ev.gp_gaussian.prior_predict(model, cells)[1]))
+        assert 0.0 < value < float(np.mean(model.moments_at(cells)[1]))
 
     def test_latent_apv_predicts_no_grid_cell(self, pois_model, gauss_model, grid,
                                               monkeypatch):

@@ -14,7 +14,6 @@ from lgcp_design import (
     kl_gaussian_closed_form,
     laplace_predict,
     point,
-    prior_predict,
     sample_prior,
 )
 from conftest import random_cov
@@ -46,7 +45,7 @@ class TestScalarPosterior:
         y = mu + 3.0
         post = fit_lgcp(model, x[None, :], np.array([y]))
         mean, var = laplace_predict(post, x[None, :])
-        w = s2f / (s2f + model.noise_variance)
+        w = s2f / (s2f + model.obs.noise_variance)
         assert mean[0] == pytest.approx(mu + w * 3.0, rel=1e-6)
         assert var[0] == pytest.approx(s2f * (1 - w), rel=1e-6)
 
@@ -56,7 +55,7 @@ class TestScalarPosterior:
         y = np.array([mu + 2.0])
         kl = kl_gaussian_closed_form(model, x[None, :], y)
         s2f = model.cov.total_variance
-        s2n = model.noise_variance
+        s2n = model.obs.noise_variance
         v1 = s2f - s2f**2 / (s2f + s2n)
         m1 = s2f / (s2f + s2n) * 2.0
         expected = 0.5 * (np.log(s2f / v1) + v1 / s2f + m1**2 / s2f - 1.0)
@@ -133,7 +132,7 @@ class TestLogMarginal:
         X = rng.random((7, 3))
         y = rng.normal(size=7)
         post = fit_lgcp(model, X, y)
-        K = model.cov_at(X) + (model.noise_variance + model.jitter) * np.eye(7)
+        K = model.cov_at(X) + (model.obs.noise_variance + model.jitter) * np.eye(7)
         expected = multivariate_normal(model.mean_at(X), K).logpdf(y)
         assert post.log_marginal == pytest.approx(expected, rel=1e-8)
 
@@ -141,7 +140,7 @@ class TestLogMarginal:
 class TestPrior:
     def test_prior_predict_empty_design_limit(self, model):
         q = np.random.default_rng(10).random((4, 3))
-        mean, var = prior_predict(model, q)
+        mean, var = model.moments_at(q)
         assert np.allclose(mean, model.mean_at(q))
         assert np.allclose(var, model.cov.total_variance)
 

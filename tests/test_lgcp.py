@@ -36,7 +36,7 @@ from lgcp_design import (
     woodbury_stable,
 )
 from lgcp_design import lgcp
-from lgcp_design.gp_gaussian import PriorTerms, _chol, _clamp_variances, prior_marginal_var
+from lgcp_design.gp_gaussian import PriorTerms, _chol, _clamp_variances
 from conftest import dense_gaussian_posterior, random_cov
 
 
@@ -495,7 +495,7 @@ def _prior_query(post, query):
     return (
         model.cov_at(query, post.design_points),
         model.mean_at(query),
-        prior_marginal_var(model, query),
+        model.moments_at(query)[1],
         model.cov_at(query),
     )
 
@@ -593,7 +593,7 @@ PREDICT_RTOL = 1e-13
 
 
 def _assert_same_predictions(post, ref, query):
-    sd = np.sqrt(prior_marginal_var(post.model, query))
+    sd = np.sqrt(post.model.moments_at(query)[1])
     mean, var = laplace_predict(post, query)
     ref_mean, ref_var, ref_cov = _reference_predict(ref, query)
     assert np.array_equal(mean, ref_mean)
