@@ -16,7 +16,7 @@ from .domain import (
     unit_cube,
 )
 from .kernels import CovStructure, KernelSpec, MeanFunction, cov_matrix, matern32, mean_eval, sqexp
-from .gp_gaussian import PriorTerms, kl_gaussian_closed_form, sample_prior
+from .gp_gaussian import PriorTerms, sample_prior
 from .lgcp import (
     GaussianObs,
     LatentPosterior,
@@ -29,8 +29,6 @@ from .lgcp import (
     laplace_predict,
     mean_latent_variance,
     sample_counts,
-    woodbury_direct,
-    woodbury_stable,
 )
 from .designs import (
     Design,

@@ -174,7 +174,7 @@ _GENERATORS = {
     "fibonacci": lambda r: dsg.fibonacci_lattice_3d(r.n, r.domain),
     "min_dran": lambda r: dsg.simple_inhibitory(r.n, r.delta, r.domain, r.seed),
     "close_pair": lambda r: dsg.inhibitory_close_pairs(
-        r.n, r.k or r.n // 2, r.delta, r.domain, r.seed),
+        r.n, r.n // 2 if r.k is None else r.k, r.delta, r.domain, r.seed),
     "min_dist": lambda r: dsg.min_dist_discrete(
         r.n, r.delta, _grid(r, "min_dist needs a grid"), r.seed),
     "space_fill": lambda r: dsg.coffee_house(

@@ -57,10 +57,6 @@ def _summarize(criterion, replicates, provenance, failure_reasons=None) -> Utili
     )
 
 
-def _is_gaussian(model) -> bool:
-    return isinstance(model.obs, GaussianObs)
-
-
 def _intensity_apv(mean, var) -> float:
     """The APV of the intensity from the latent moments at the grid cells."""
     _, ivar = lgcp.intensity_moments(mean, var)
@@ -73,12 +69,9 @@ def _points(design):
 
 def _criteria_values(model, y, criteria, grid, prior) -> list[float]:
     """Every criterion of one data replicate on the points of ``prior``, a
-    ``PriorTerms``, from at most one fit. Only the intensity APV predicts
-    every grid cell; the latent APV needs their mean alone."""
-    gaussian = _is_gaussian(model)
-    apv = any(c != "kl" for c in criteria)
-    # the Gaussian KL has a closed form that needs no fit
-    post = lgcp.fit_lgcp(model, prior.X, y, prior=prior) if apv or not gaussian else None
+    ``PriorTerms``, from one fit. Only the intensity APV predicts every grid
+    cell; the latent APV needs their mean alone."""
+    post = lgcp.fit_lgcp(model, prior.X, y, prior=prior)
     if "apv_intensity" in criteria:
         mean, var = lgcp.laplace_predict(post, grid.cells)
     values = []
@@ -87,8 +80,6 @@ def _criteria_values(model, y, criteria, grid, prior) -> list[float]:
             values.append(lgcp.mean_latent_variance(post, grid.cells))
         elif c == "apv_intensity":
             values.append(_intensity_apv(mean, var))
-        elif gaussian:
-            values.append(gp_gaussian.kl_gaussian_closed_form(model, prior.X, y, prior=prior))
         else:
             values.append(lgcp.kl_lemma1(post))
     return values
@@ -167,7 +158,7 @@ def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") ->
         return _summarize(criterion, np.full(M, value), provenance)
     # intensity variance depends on the posterior mean, which does vary with
     # the data, so only the latent target has a Gaussian shortcut
-    if _is_gaussian(model) and target == "latent":
+    if isinstance(model.obs, GaussianObs) and target == "latent":
         post = lgcp.fit_lgcp(model, points, model.mean_at(points))
         value = lgcp.mean_latent_variance(post, grid.cells)
         return _summarize(criterion, np.full(M, value), provenance)

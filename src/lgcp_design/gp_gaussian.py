@@ -1,13 +1,14 @@
 """The Gaussian-process prior: its data-independent terms at a point set
 (``PriorTerms``, which reads the prior moments from ``model.moments_at``),
-prior sampling, the variance clamp of every prediction, and the closed-form
-KL divergence of the Gaussian observation model,
-``lgcp.Model(mean, cov, GaussianObs(sigma2))``.
+prior sampling, and the variance clamp of every prediction.
 
-Fitting and prediction under every observation model, the Gaussian one
-included, are ``lgcp.fit_lgcp`` and ``lgcp.laplace_predict``; both read the
-prior from a ``PriorTerms``, and so does ``lgcp.mean_latent_variance``, from
-the QR factor of a grid cross-covariance. All solves go through Cholesky
+Fitting, prediction and the KL divergence under every observation model,
+the Gaussian one included, are ``lgcp.fit_lgcp``, ``lgcp.laplace_predict``
+and ``lgcp.kl_lemma1``; for Gaussian observations the Laplace posterior is
+the exact GP posterior, and Gauss-Hermite quadrature integrates its
+quadratic log likelihood exactly. All three read the prior from a
+``PriorTerms``, and so does ``lgcp.mean_latent_variance``, from the QR
+factor of a grid cross-covariance. All solves go through Cholesky
 factorizations.
 Negative variances that ``laplace_predict`` predicts through cancellation
 are clamped to zero, and a clamp rate above 0.1% of queries raises
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
 from .exceptions import LgcpDesignError, NumericalError
@@ -32,7 +33,6 @@ from .kernels import JITTER_SCALE, cov_matrix  # noqa: F401
 __all__ = [
     "PriorTerms",
     "sample_prior",
-    "kl_gaussian_closed_form",
 ]
 
 CLAMP_FAIL_FRACTION = 1e-3
@@ -157,32 +157,3 @@ def sample_prior(model, points, count: int, seed, prior=None) -> np.ndarray:
     z = rng.standard_normal((count, prior.X.shape[0]))
     return prior.mu[None, :] + z @ prior.factor
 
-
-def kl_gaussian_closed_form(model, design_points, y, prior=None) -> float:
-    """KL divergence from prior to posterior over the design points.
-
-    Closed form for the Gaussian observation model with posterior moments
-    mu1 = K (K + sigma^2 I)^-1 (y - mu) and K1 = K - K (K + sigma^2 I)^-1 K:
-    KL = 0.5 [ log|K K1^-1| + Tr(K1 K^-1) + mu1' K^-1 mu1 - n ]. ``prior``
-    is the design points' ``PriorTerms``, built here when omitted.
-    """
-    prior = PriorTerms.at(model, design_points, prior)
-    y = np.asarray(y, dtype=float)
-    K, mu, n = prior.K, prior.mu, prior.X.shape[0]
-    jitter = model.jitter
-    Kj = K + jitter * np.eye(n)
-    chol_noisy = _chol(K + model.obs.noise_variance * np.eye(n), jitter)
-    resid = y - mu
-    mu1 = K @ cho_solve(chol_noisy, resid)
-    K1 = Kj - K @ cho_solve(chol_noisy, K)
-
-    chol_prior = _chol(K, jitter)
-    chol_post = _chol(K1, jitter)
-    log_det_prior = 2.0 * np.sum(np.log(np.diag(chol_prior[0])))
-    log_det_post = 2.0 * np.sum(np.log(np.diag(chol_post[0])))
-    trace = np.trace(cho_solve(chol_prior, K1))
-    quad = mu1 @ cho_solve(chol_prior, mu1)
-    kl = 0.5 * (log_det_prior - log_det_post + trace + quad - n)
-    if kl < -1e-10:
-        raise NumericalError(f"closed-form KL came out negative: {kl}")
-    return max(float(kl), 0.0)

@@ -1,8 +1,9 @@
 """Log-Gaussian Cox process inference via Newton MAP and Laplace approximation.
 
 Supports Poisson, Negative-Binomial, and Gaussian observation models behind a
-single interface: ``fit_lgcp`` and ``laplace_predict`` serve all three, and
-for Gaussian observations the Laplace posterior is the exact GP posterior.
+single interface: ``fit_lgcp``, ``laplace_predict`` and ``kl_lemma1`` serve
+all three, and for Gaussian observations the Laplace posterior is the exact
+GP posterior.
 The Laplace posterior uses the numerically stable B = I + W^{1/2} K W^{1/2}
 parameterization, which is the Woodbury form of (K + W^-1)^-1 and remains
 valid as W -> 0.
@@ -16,7 +17,6 @@ from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
@@ -36,8 +36,6 @@ __all__ = [
     "kl_lemma1",
     "intensity_moments",
     "sample_counts",
-    "woodbury_direct",
-    "woodbury_stable",
 ]
 
 NEWTON_TOL = 1e-8
@@ -519,22 +517,3 @@ def sample_counts(model, latent_draw, seed):
     rng = np.random.default_rng(seed)
     return model.obs.sample(f, rng)
 
-
-# ----------------------------------------------------------------------
-# Woodbury identity, both routes (kept separate for verification)
-
-
-def woodbury_direct(K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(K + W^-1)^-1 by direct factorization of K + diag(1/W)."""
-    A = K + np.diag(1.0 / np.asarray(W, dtype=float))
-    chol = cho_factor(A, lower=True)
-    return cho_solve(chol, np.eye(K.shape[0]))
-
-
-def woodbury_stable(K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(K + W^-1)^-1 = W - W (K^-1 + W)^-1 W, stable for small W entries."""
-    W = np.asarray(W, dtype=float)
-    n = K.shape[0]
-    K_inv = cho_solve(cho_factor(K, lower=True), np.eye(n))
-    inner = cho_solve(cho_factor(K_inv + np.diag(W), lower=True), np.eye(n))
-    return np.diag(W) - W[:, None] * inner * W[None, :]

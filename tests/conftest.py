@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from lgcp_design import CovStructure, KernelSpec, MeanFunction
+from lgcp_design import CovStructure, KernelSpec, LatentPosterior, MeanFunction
+from lgcp_design.lgcp import _factor_B
 
 
 @pytest.fixture
@@ -58,3 +59,33 @@ def dense_gaussian_posterior(model, X, y, query):
     log_det = 2.0 * np.sum(np.log(np.diag(noisy[0])))
     log_marginal = -0.5 * (resid @ cho_solve(noisy, resid) + log_det + n * np.log(2.0 * np.pi))
     return mean, cov, log_marginal
+
+
+def gaussian_kl_oracle(mu0, K0, mu1, K1):
+    """Generic KL(N(mu1,K1) || N(mu0,K0)) via slogdet and solves."""
+    n = len(mu0)
+    K0_inv_K1 = np.linalg.solve(K0, K1)
+    diff = mu1 - mu0
+    _, ld0 = np.linalg.slogdet(K0)
+    _, ld1 = np.linalg.slogdet(K1)
+    return 0.5 * (
+        ld0 - ld1 + np.trace(K0_inv_K1) + diff @ np.linalg.solve(K0, diff) - n
+    )
+
+
+def gaussian_posterior_kl(mu, K, noise_variance, y):
+    """The generic KL oracle from the prior N(mu, K) to the exact posterior
+    of y ~ N(f, noise_variance I), its moments by (K + sigma^2 I) solves."""
+    A = K + noise_variance * np.eye(len(mu))
+    mu1 = mu + K @ np.linalg.solve(A, y - mu)
+    K1 = K - K @ np.linalg.solve(A, K)
+    return gaussian_kl_oracle(mu, K, mu1, K1)
+
+
+def whitened_inverse(K, W):
+    """(K + W^-1)^-1 as M^T M, M = L^-1 W^1/2 the whitener that every fit and
+    prediction applies, L the lower Cholesky factor of B = I + W^1/2 K W^1/2
+    from ``_factor_B``. dtrtri leaves B's entries above M's diagonal."""
+    chol_B = (_factor_B(K, np.sqrt(W)), True)
+    M = np.tril(LatentPosterior(None, None, None, W, None, chol_B, K)._whitener)
+    return M.T @ M

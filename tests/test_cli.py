@@ -181,6 +181,25 @@ class TestDesignCommand:
             "--M", "4", "--out", str(tmp_path / "e.csv"),
         ]) == EXIT_USAGE
 
+    def test_zero_close_pairs_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = main([
+            "design", "--generator", "close_pair", "--n", "20", "--close-pairs", "0",
+            "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need 0 < k < n\n"
+        assert not out.exists()
+
+    def test_close_pairs_default_half_of_n(self, tmp_path):
+        out, prov = tmp_path / "d.csv", tmp_path / "d.prov"
+        assert main([
+            "design", "--generator", "close_pair", "--n", "20",
+            "--out", str(out), "--provenance", str(prov),
+        ]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 21
+        assert "k 10" in prov.read_text().splitlines()
+
     def test_missing_mask_io_error(self, tmp_path):
         code = main([
             "design", "--generator", "random", "--n", "5",

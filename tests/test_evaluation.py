@@ -22,7 +22,6 @@ from lgcp_design import (
     fit_lgcp,
     halton,
     intensity_moments,
-    kl_gaussian_closed_form,
     kl_lemma1,
     laplace_predict,
     mean_latent_variance,
@@ -33,7 +32,7 @@ from lgcp_design import (
     unit_cube,
     write_comparison_csv,
 )
-from conftest import dense_gaussian_posterior
+from conftest import dense_gaussian_posterior, gaussian_posterior_kl
 
 
 @pytest.fixture
@@ -145,6 +144,23 @@ class TestGaussianShortcut:
         assert est.M == 8
         assert est.value > 0
         assert np.all(est.replicates >= 0)
+
+
+class TestGaussianKlAgainstOracle:
+    @pytest.mark.parametrize("n", [50, 150])
+    def test_replicates_match_moment_oracle(self, gauss_model, n):
+        # the paper's model at its design sizes; each replicate's y is
+        # redrawn from the seed scheme of evaluation._replicates
+        design = halton(n)
+        kl = expected_kl(gauss_model, design, 4, seed=7)
+        K = gauss_model.cov_at(design.points) + gauss_model.jitter * np.eye(n)
+        mu = gauss_model.mean_at(design.points)
+        for j in range(4):
+            draw_seed = np.random.SeedSequence(7, spawn_key=(j, 0))
+            f = sample_prior(gauss_model, design.points, 1, draw_seed)[0]
+            y = sample_counts(gauss_model, f, np.random.SeedSequence(7, spawn_key=(j, 1)))
+            oracle = gaussian_posterior_kl(mu, K, gauss_model.obs.noise_variance, y)
+            assert abs(kl.replicates[j] - oracle) <= 1e-6 * oracle
 
 
 class TestMoreDataMoreInformation:
@@ -324,7 +340,7 @@ class TestFailurePolicy:
 
 
 class TestPriorTerms:
-    @pytest.mark.parametrize("call", ["fit_lgcp", "sample_prior", "kl_gaussian_closed_form"])
+    @pytest.mark.parametrize("call", ["fit_lgcp", "sample_prior"])
     def test_prior_for_other_points_or_model_rejected(self, call, gauss_model, additive_cov,
                                                       concave_mean):
         X = halton(6).points
@@ -332,8 +348,6 @@ class TestPriorTerms:
         run = {
             "fit_lgcp": lambda prior: fit_lgcp(gauss_model, X, np.zeros(6), prior=prior),
             "sample_prior": lambda prior: sample_prior(gauss_model, X, 1, 0, prior=prior),
-            "kl_gaussian_closed_form": lambda prior: kl_gaussian_closed_form(
-                gauss_model, X, np.zeros(6), prior=prior),
         }[call]
         run(PriorTerms.at(gauss_model, X))
         for prior in (PriorTerms.at(gauss_model, halton(6, offset=6).points),
@@ -664,7 +678,7 @@ class TestSeedScheme:
             post = fit_lgcp(gauss_model, design.points, y)
             _, ivar = intensity_moments(*laplace_predict(post, grid.cells))
             assert apv.replicates[j] == float(np.mean(ivar))
-            assert kl.replicates[j] == kl_gaussian_closed_form(gauss_model, design.points, y)
+            assert kl.replicates[j] == kl_lemma1(post)
 
 
 class TestDataIndependentWork:

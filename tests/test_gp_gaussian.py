@@ -1,5 +1,6 @@
 """The Gaussian observation model: its exact posterior through fit_lgcp and
-laplace_predict, the closed-form KL, and the prior helpers of gp_gaussian."""
+laplace_predict, its KL through kl_lemma1, and the prior helpers of
+gp_gaussian."""
 
 import numpy as np
 import pytest
@@ -11,24 +12,12 @@ from lgcp_design import (
     MeanFunction,
     Model,
     fit_lgcp,
-    kl_gaussian_closed_form,
+    kl_lemma1,
     laplace_predict,
     point,
     sample_prior,
 )
-from conftest import random_cov
-
-
-def gaussian_kl_oracle(mu0, K0, mu1, K1):
-    """Generic KL(N(mu1,K1) || N(mu0,K0)) via slogdet and solves."""
-    n = len(mu0)
-    K0_inv_K1 = np.linalg.solve(K0, K1)
-    diff = mu1 - mu0
-    _, ld0 = np.linalg.slogdet(K0)
-    _, ld1 = np.linalg.slogdet(K1)
-    return 0.5 * (
-        ld0 - ld1 + np.trace(K0_inv_K1) + diff @ np.linalg.solve(K0, diff) - n
-    )
+from conftest import gaussian_posterior_kl, random_cov
 
 
 @pytest.fixture
@@ -53,7 +42,7 @@ class TestScalarPosterior:
         x = point(0.5, 0.5, 0.5)
         mu = model.mean_at(x)[0]
         y = np.array([mu + 2.0])
-        kl = kl_gaussian_closed_form(model, x[None, :], y)
+        kl = kl_lemma1(fit_lgcp(model, x[None, :], y))
         s2f = model.cov.total_variance
         s2n = model.obs.noise_variance
         v1 = s2f - s2f**2 / (s2f + s2n)
@@ -72,14 +61,8 @@ class TestKlAgainstGenericOracle:
         n = int(rng.integers(2, 12))
         X = rng.random((n, 3))
         y = rng.normal(size=n) * 2.0
-        kl = kl_gaussian_closed_form(model, X, y)
-
-        K = model.cov_at(X)
-        mu = model.mean_at(X)
-        A = K + s2n * np.eye(n)
-        mu1 = mu + K @ np.linalg.solve(A, y - mu)
-        K1 = K - K @ np.linalg.solve(A, K)
-        expected = gaussian_kl_oracle(mu, K, mu1, K1)
+        kl = kl_lemma1(fit_lgcp(model, X, y))
+        expected = gaussian_posterior_kl(model.mean_at(X), model.cov_at(X), s2n, y)
         # kernel matrices on random point sets can be ill-conditioned, so the
         # tolerance here is roundoff-limited; the tight formula-level check
         # uses well-conditioned instances in the acceptance suite
@@ -170,11 +153,11 @@ class TestKlEdgeCases:
             n = int(rng.integers(1, 8))
             X = rng.random((n, 3))
             y = rng.normal(size=n)
-            assert kl_gaussian_closed_form(model, X, y) >= 0.0
+            assert kl_lemma1(fit_lgcp(model, X, y)) >= 0.0
 
     def test_kl_grows_with_surprising_data(self, model):
         X = np.random.default_rng(14).random((5, 3))
         mu = model.mean_at(X)
-        small = kl_gaussian_closed_form(model, X, mu + 0.1)
-        large = kl_gaussian_closed_form(model, X, mu + 10.0)
+        small = kl_lemma1(fit_lgcp(model, X, mu + 0.1))
+        large = kl_lemma1(fit_lgcp(model, X, mu + 10.0))
         assert large > small
