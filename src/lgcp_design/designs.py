@@ -602,12 +602,27 @@ def save_design(design: Design, csv_path, provenance_path=None) -> None:
 
 
 def load_design(csv_path, provenance_path=None) -> Design:
-    """Read a design CSV written by save_design."""
+    """Read a design CSV written by save_design. A data row that is not
+    exactly three finite numbers raises LgcpDesignError naming the file and
+    the line."""
+    rows = []
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "s1,s2,t":
             raise LgcpDesignError(f"unexpected design CSV header: {header!r}")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 3 or not np.isfinite(row).all():
+                raise LgcpDesignError(
+                    f"design CSV {csv_path}, line {lineno}: "
+                    f"expected three finite numbers, got {line.strip()!r}"
+                )
+            rows.append(row)
     provenance = {}
     if provenance_path is not None:
         with open(provenance_path) as fh:

@@ -156,19 +156,29 @@ def load_mask_file(path) -> Domain:
 
     Format: header line ``N1 N2 Nt lo1 hi1 lo2 hi2 lo_t hi_t``, then
     N1*N2*Nt whitespace-separated 0/1 values in row-major order
-    (s1 fastest, t slowest).
+    (s1 fastest, t slowest). A header that does not parse or has a cell
+    count below 1, or a value other than 0 or 1, raises LgcpDesignError.
     """
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 9:
         raise LgcpDesignError(f"mask file {path}: truncated header")
-    n1, n2, nt = (int(v) for v in tokens[:3])
-    bounds = np.array([float(v) for v in tokens[3:9]]).reshape(3, 2)
+    try:
+        n1, n2, nt = (int(v) for v in tokens[:3])
+        bounds = np.array([float(v) for v in tokens[3:9]]).reshape(3, 2)
+        if min(n1, n2, nt) < 1:
+            raise ValueError("cell counts must be positive")
+    except ValueError:
+        header = " ".join(tokens[:9])
+        raise LgcpDesignError(f"mask file {path}: malformed header {header!r}") from None
     values = tokens[9:]
     if len(values) != n1 * n2 * nt:
         raise LgcpDesignError(
             f"mask file {path}: expected {n1 * n2 * nt} values, got {len(values)}"
         )
+    bad = next((i for i, v in enumerate(values) if v not in ("0", "1")), None)
+    if bad is not None:
+        raise LgcpDesignError(f"mask file {path}: value {bad + 1} is {values[bad]!r}, not 0 or 1")
     flat = np.array([int(v) for v in values], dtype=bool)
     mask = flat.reshape(nt, n2, n1).transpose(2, 1, 0)
     return Domain(bounds, mask)

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
+from ._lapack import dgeqrf, dgeqrf_lwork, dpotrf
 from .exceptions import LgcpDesignError, NumericalError
 # cov_matrix is unused here but stays a module attribute: the perfbench
 # tracer test checks that it is wrapped in every module that imports it
@@ -39,11 +38,25 @@ CLAMP_FAIL_FRACTION = 1e-3
 
 
 def _chol(mat: np.ndarray, jitter: float):
-    """Cholesky of mat + jitter*I; factorization failure is reported, not patched."""
-    try:
-        return cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    """Cholesky of mat + jitter*I as ``cho_factor(..., lower=True)`` returns
+    it, from the dpotrf call it makes; factorization failure is reported,
+    not patched. A non-finite mat raises ValueError."""
+    a = mat + jitter * np.eye(mat.shape[0])
+    if not np.isfinite(a).all():
+        # dpotrf does not check its input; this is scipy's error for it
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info:
+        raise _cholesky_failed(info)
+    return c, True
+
+
+def _cholesky_failed(info: int) -> NumericalError:
+    """The error for a dpotrf that stopped at leading minor ``info``."""
+    return NumericalError(
+        "Cholesky factorization failed: "
+        f"{info}-th leading minor of the array is not positive definite"
+    )
 
 
 def _clamp_variances(var: np.ndarray) -> np.ndarray:

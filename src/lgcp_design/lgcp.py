@@ -17,11 +17,10 @@ from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
+from ._lapack import dpotrf, dpotrs, dtrmm, dtrtri
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import PriorTerms, _clamp_variances
+from .gp_gaussian import PriorTerms, _cholesky_failed, _clamp_variances
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
 
 __all__ = [
@@ -294,10 +293,7 @@ def _factor_B(K, sW, work=None):
     T.reshape(-1)[:: n + 1] += 1.0  # the diagonal, through a view of C-contiguous T
     c, info = dpotrf(T.T, lower=1, overwrite_a=1, clean=0)
     if info:
-        raise NumericalError(
-            "Cholesky factorization failed: "
-            f"{info}-th leading minor of the array is not positive definite"
-        )
+        raise _cholesky_failed(info)
     return c
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -89,3 +94,35 @@ def whitened_inverse(K, W):
     chol_B = (_factor_B(K, np.sqrt(W)), True)
     M = np.tril(LatentPosterior(None, None, None, W, None, chol_B, K)._whitener)
     return M.T @ M
+
+
+# One instance through every LAPACK/BLAS call site of the library: the prior
+# draw (dpotrf), the Newton fit (dpotrf, dpotrs), the grid prediction
+# (dtrtri, dtrmm), the KL and the latent APV (dgeqrf). It leaves ``digest``,
+# the sha256 of everything it computed.
+LAPACK_INSTANCE = """
+import hashlib, numpy as np, lgcp_design as ld
+cov = ld.CovStructure('additive', ld.KernelSpec('matern32', 0.8, 2.0), ld.KernelSpec('sqexp', 1.5, 2.0))
+model = ld.Model(ld.MeanFunction.concave_quadratic_time(2.0, 0.5, 30.0), cov, ld.Poisson())
+X = ld.halton(30).points
+prior = ld.PriorTerms.at(model, X)
+f = ld.sample_prior(model, X, 1, 3, prior=prior)[0]
+y = ld.sample_counts(model, f, 4)
+post = ld.fit_lgcp(model, X, y, prior=prior)
+grid = ld.discretize(ld.unit_cube(), (5, 5, 4)).cells
+mean, var = ld.laplace_predict(post, grid)
+kl, apv = ld.kl_lemma1(post), ld.mean_latent_variance(post, grid)
+digest = hashlib.sha256(np.concatenate([f, y, mean, var, [kl, apv]]).tobytes()).hexdigest()
+"""
+
+
+def run_python(code, *options):
+    """stdout of a fresh interpreter, run with ``options`` and this
+    checkout's src/ first on its path, on ``code``; a non-zero exit fails."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, *options, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

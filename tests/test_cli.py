@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import LAPACK_INSTANCE, run_python
 
 from lgcp_design import cli
 from lgcp_design import evaluation as ev
@@ -25,23 +22,17 @@ class TestStartup:
     def test_import_skips_scipy_stats_spatial_sparse(self):
         # every CLI call pays the import; no design, Sobol's included, needs
         # scipy.stats, and nothing needs scipy.spatial or scipy.sparse
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys, lgcp_design, lgcp_design.cli\n"
             "lgcp_design.sobol(64)\n"
             "print(' '.join(m for m in sys.modules"
             " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'spatial'], ['scipy', 'sparse'])))"
         )
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
-        assert proc.stdout.split() == []
+        assert run_python(code).split() == []
 
     def test_fit_and_kl_skip_scipy_special(self):
         # the count constants use math.lgamma; modules that numpy and
         # scipy.linalg load themselves are the baseline
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys, numpy as np, scipy.linalg\n"
             "baseline = set(sys.modules)\n"
@@ -56,11 +47,19 @@ class TestStartup:
             "print(' '.join(m for m in set(sys.modules) - baseline"
             " if m.split('.')[:2] == ['scipy', 'special']))"
         )
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
-        assert proc.stdout.split() == []
+        assert run_python(code).split() == []
+
+    def test_linalg_call_sites_skip_scipy_linalg_package(self):
+        # the package's __init__ costs about 0.2 s and 18 MB per process; the
+        # six routines come from its two extension modules, loaded directly
+        code = (
+            "import sys\n"
+            "import lgcp_design, lgcp_design.cli\n"
+            + LAPACK_INSTANCE
+            + "print(' '.join(str(m in sys.modules) for m in"
+            " ('scipy.linalg', 'scipy.linalg._flapack', 'scipy.linalg._fblas')))"
+        )
+        assert run_python(code, "-W", "error").split() == ["False", "True", "True"]
 
 
 class TestConfigParsing:
@@ -207,6 +206,28 @@ class TestDesignCommand:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("token", ["x", "2"])
+    def test_mask_value_other_than_0_or_1_usage_error(self, tmp_path, capsys, token):
+        mask, out = tmp_path / "m.mask", tmp_path / "x.csv"
+        mask.write_text(f"2 2 2 0 1 0 1 0 1\n1 1 1 1 1 1 1 {token}\n")
+        code = main(["design", "--generator", "random", "--n", "5", "--mask", str(mask),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: mask file {mask}: value 8 is '{token}', not 0 or 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0.5,0.5", "0.5,abc,0.5", "0.5,nan,0.5"])
+    def test_malformed_design_row_usage_error(self, tmp_path, capsys, row):
+        design, out = tmp_path / "d.csv", tmp_path / "e.csv"
+        design.write_text(f"s1,s2,t\n0.1,0.2,0.3\n\n{row}\n")
+        code = main(["evaluate", "--design", str(design), "--criterion", "kl", "--M", "4",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: design CSV {design}, line 4: expected three finite numbers, got '{row}'\n")
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,6 +4,7 @@ import pytest
 from lgcp_design import (
     Domain,
     EmptyGridError,
+    LgcpDesignError,
     discretize,
     from_unit_cube,
     is_admissible,
@@ -112,6 +113,14 @@ class TestMaskFile:
         path.write_text("2 1 1 0 1 0 1 0 1\n1 0\n")
         d = load_mask_file(path)
         assert d.mask[0, 0, 0] and not d.mask[1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "header", ["2 1 x 0 1 0 1 0 1", "2 1 1 0 1 0 one 0 1", "-2 -1 1 0 1 0 1 0 1"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "mask.txt"
+        path.write_text(f"{header}\n1 0\n")
+        with pytest.raises(LgcpDesignError, match="malformed header"):
+            load_mask_file(path)
 
 
 class TestValidation:
