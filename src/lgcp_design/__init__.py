@@ -52,6 +52,7 @@ from .evaluation import (
     UtilityEstimate,
     compare_designs,
     condition_on_data,
+    estimate,
     expected_apv,
     expected_kl,
     write_comparison_csv,

@@ -1,6 +1,11 @@
 """Monte Carlo evaluation of designs: expected average-predictive-variance
 loss and expected KL information gain, with replicate-level uncertainty.
 
+``estimate`` evaluates any set of criteria on one design and
+``compare_designs`` on several; both fit each data replicate once and take
+every criterion from that fit. ``expected_apv`` and ``expected_kl`` are
+``estimate`` of a single criterion.
+
 Replicate seeds are spawned from a root seed by counter, so results are
 bitwise reproducible and independent of execution order.
 """
@@ -19,6 +24,7 @@ from .lgcp import GaussianObs
 __all__ = [
     "UtilityEstimate",
     "ConditionedModel",
+    "estimate",
     "expected_apv",
     "expected_kl",
     "condition_on_data",
@@ -57,8 +63,10 @@ def _summarize(criterion, replicates, provenance, failure_reasons=None) -> Utili
     )
 
 
-def _intensity_apv(mean, var) -> float:
-    """The APV of the intensity from the latent moments at the grid cells."""
+def _apv(criterion, mean, var) -> float:
+    """An APV criterion from the latent moments at the grid cells."""
+    if criterion == "apv_latent":
+        return float(np.mean(var))
     _, ivar = lgcp.intensity_moments(mean, var)
     return float(np.mean(ivar))
 
@@ -79,7 +87,7 @@ def _criteria_values(model, y, criteria, grid, prior) -> list[float]:
         if c == "apv_latent":
             values.append(lgcp.mean_latent_variance(post, grid.cells))
         elif c == "apv_intensity":
-            values.append(_intensity_apv(mean, var))
+            values.append(_apv(c, mean, var))
         else:
             values.append(lgcp.kl_lemma1(post))
     return values
@@ -133,52 +141,57 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     return out, reasons
 
 
-def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") -> UtilityEstimate:
-    """Expected APV loss of a design over prior-predictive data replicates.
+def estimate(model, design, criteria, grid, M: int, seed=0) -> list[UtilityEstimate]:
+    """One ``UtilityEstimate`` per criterion, in order, over the same M
+    prior-predictive data replicates. Each replicate is fitted once for every
+    criterion, so one that fails in any criterion is dropped from all.
 
-    ``target`` is "latent" (posterior variance of f averaged over the grid)
-    or "intensity" (log-normal variance of exp(f)). With a Gaussian
-    observation model the posterior variance does not depend on the data, so
-    the estimate is deterministic and the standard error is zero. An unknown
-    ``target`` raises LgcpDesignError before any replicate runs. When more
-    than 5% of the replicates fail, NumericalError is raised; its
-    ``failure_reasons`` maps each message of the failed replicates to its
-    count.
+    An empty design takes the prior values, with no draw or fit. A Gaussian
+    model's latent posterior variance does not depend on the data, so its
+    latent APV comes from one fit, with standard error zero. ``grid`` may be
+    None for "kl" alone. An unknown criterion or M < 2 raises LgcpDesignError
+    before any draw or fit. When more than 5% of the replicates fail,
+    NumericalError is raised; its ``failure_reasons`` maps each message of
+    the failed replicates to its count.
     """
     if M < 2:
         raise LgcpDesignError("M must be >= 2")
+    for c in criteria:
+        if c not in CRITERIA:
+            raise LgcpDesignError(f"unknown criterion {c!r}")
+    provenance = getattr(design, "provenance", {})
+    points = _points(design)
+    fixed = {}
+    if points.shape[0] == 0:
+        # no data: the posterior is the prior
+        fixed = {c: 0.0 if c == "kl" else _apv(c, *model.moments_at(grid.cells)) for c in criteria}
+    elif isinstance(model.obs, GaussianObs) and "apv_latent" in criteria:
+        post = lgcp.fit_lgcp(model, points, model.mean_at(points))
+        fixed["apv_latent"] = lgcp.mean_latent_variance(post, grid.cells)
+    loop = [c for c in criteria if c not in fixed]
+    if loop:
+        reps, reasons = _replicates(model, [points], loop, grid, M, seed, lambda j, d: (j, 1))
+    return [
+        _summarize(c, np.full(M, fixed[c]), provenance) if c in fixed
+        else _finalize(c, reps[0, loop.index(c)], reasons[0], M, provenance)
+        for c in criteria
+    ]
+
+
+def expected_apv(model, design, grid, M: int, seed=0, target: str = "latent") -> UtilityEstimate:
+    """Expected APV loss of a design: ``estimate`` of "apv_<target>".
+    ``target`` is "latent" (posterior variance of f averaged over the grid)
+    or "intensity" (log-normal variance of exp(f)); an unknown one raises
+    LgcpDesignError before any draw or fit."""
     criterion = f"apv_{target}"
     if criterion not in CRITERIA:
         raise LgcpDesignError(f"unknown APV target {target!r}")
-    provenance = getattr(design, "provenance", {})
-    points = _points(design)
-    if points.shape[0] == 0:
-        mean, var = model.moments_at(grid.cells)
-        value = float(np.mean(var)) if target == "latent" else _intensity_apv(mean, var)
-        return _summarize(criterion, np.full(M, value), provenance)
-    # intensity variance depends on the posterior mean, which does vary with
-    # the data, so only the latent target has a Gaussian shortcut
-    if isinstance(model.obs, GaussianObs) and target == "latent":
-        post = lgcp.fit_lgcp(model, points, model.mean_at(points))
-        value = lgcp.mean_latent_variance(post, grid.cells)
-        return _summarize(criterion, np.full(M, value), provenance)
-    reps, reasons = _replicates(
-        model, [points], [criterion], grid, M, seed, lambda j, d: (j, 1)
-    )
-    return _finalize(criterion, reps[0, 0], reasons[0], M, provenance)
+    return estimate(model, design, [criterion], grid, M, seed)[0]
 
 
 def expected_kl(model, design, M: int, seed=0) -> UtilityEstimate:
-    """Expected KL divergence from prior to posterior over data replicates,
-    with ``expected_apv``'s failure budget."""
-    if M < 2:
-        raise LgcpDesignError("M must be >= 2")
-    provenance = getattr(design, "provenance", {})
-    points = _points(design)
-    if points.shape[0] == 0:
-        return _summarize("kl", np.zeros(M), provenance)
-    reps, reasons = _replicates(model, [points], ["kl"], None, M, seed, lambda j, d: (j, 1))
-    return _finalize("kl", reps[0, 0], reasons[0], M, provenance)
+    """Expected prior-to-posterior KL of a design: ``estimate`` of "kl"."""
+    return estimate(model, design, ["kl"], None, M, seed)[0]
 
 
 def _finalize(criterion, reps, reasons, M, provenance) -> UtilityEstimate:

@@ -237,6 +237,56 @@ class TestDesignCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestEvaluateCommand:
+    def test_one_fit_per_replicate_for_every_criterion(self, tmp_path, monkeypatch):
+        design, out = tmp_path / "d.csv", tmp_path / "e.csv"
+        assert main(["design", "--generator", "halton", "--n", "15", "--out", str(design)]) == EXIT_OK
+        real = ev.lgcp.fit_lgcp
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", counted)
+        assert main([
+            "evaluate", "--design", str(design), "--criterion", "apv_latent",
+            "--criterion", "apv_intensity", "--criterion", "kl", "--M", "5",
+            "--grid-res", "4", "4", "3", "--out", str(out),
+        ]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["apv_latent", "apv_intensity", "kl"]
+        assert [row.split(",")[4] for row in rows] == ["5"] * 3
+        assert len(calls) == 5
+
+    def test_empty_design_usage_error(self, tmp_path, capsys):
+        design, out = tmp_path / "d.csv", tmp_path / "e.csv"
+        design.write_text("s1,s2,t\n")
+        code = main(["evaluate", "--design", str(design), "--criterion", "kl", "--M", "4",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: design CSV {design} holds no points\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_point_outside_the_domain_usage_error(self, tmp_path, capsys, masked):
+        # point 2 lies outside the unit cube, or in its one masked-out cell
+        design, out = tmp_path / "d.csv", tmp_path / "e.csv"
+        bad = "0.75,0.75,0.75" if masked else "5,5,5"
+        design.write_text(f"s1,s2,t\n0.5,0.5,0.5\n{bad}\n0.25,0.25,0.25\n")
+        args = ["evaluate", "--design", str(design), "--criterion", "kl", "--M", "4",
+                "--out", str(out)]
+        if masked:
+            mask = tmp_path / "m.mask"
+            mask.write_text("2 2 2 0 1 0 1 0 1\n1 1 1 1 1 1 1 0\n")
+            args += ["--mask", str(mask)]
+        assert main(args) == EXIT_USAGE
+        point = "(0.75, 0.75, 0.75)" if masked else "(5.0, 5.0, 5.0)"
+        assert capsys.readouterr().err == (
+            f"error: design CSV {design}: point 2 {point} lies outside the evaluation domain\n")
+        assert not out.exists()
+
+
 SIMSTUDY_CONFIG = (
     "cov_mode additive\n"
     "l_t 1.5\n"

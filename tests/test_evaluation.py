@@ -127,6 +127,77 @@ class TestUnknownApvTarget:
         assert calls == []
 
 
+class TestEstimate:
+    """``estimate`` over several criteria against one call per criterion."""
+
+    @pytest.mark.parametrize("case", ["poisson", "negbin", "gaussian"])
+    def test_rows_equal_single_criterion_results(self, case, pois_model, gauss_model,
+                                                 additive_cov, concave_mean, grid):
+        model = {
+            "poisson": pois_model,
+            "negbin": Model(concave_mean, additive_cov, NegativeBinomial(2.0)),
+            "gaussian": gauss_model,
+        }[case]
+        criteria = ["kl", "apv_latent"] if case == "gaussian" else list(ev.CRITERIA)
+        design = halton(12)
+        single = {
+            "apv_latent": lambda: expected_apv(model, design, grid, 6, seed=3, target="latent"),
+            "apv_intensity": lambda: expected_apv(model, design, grid, 6, seed=3,
+                                                  target="intensity"),
+            "kl": lambda: expected_kl(model, design, 6, seed=3),
+        }
+        rows = ev.estimate(model, design, criteria, grid, 6, seed=3)
+        assert [r.criterion for r in rows] == criteria
+        for row in rows:
+            one = single[row.criterion]()
+            assert (row.value, row.std_error, row.M) == (one.value, one.std_error, one.M)
+            assert np.array_equal(row.replicates, one.replicates)
+
+    def test_failure_in_one_criterion_drops_the_replicate_from_all(self, pois_model, grid,
+                                                                   monkeypatch):
+        # replicate 1's KL fails; its latent APV, computed first, goes with it
+        apv = expected_apv(pois_model, halton(10), grid, 40, seed=0, target="latent")
+        real = ev.lgcp.kl_lemma1
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] == 2:
+                raise NumericalError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "kl_lemma1", flaky)
+        rows = ev.estimate(pois_model, halton(10), ["apv_latent", "kl"], grid, 40, seed=0)
+        assert [(r.M, r.n_failed, r.failure_reasons) for r in rows] == [(39, 1, {"forced": 1})] * 2
+        assert np.array_equal(rows[0].replicates, np.delete(apv.replicates, 1))
+
+    @pytest.mark.parametrize("criteria, M, message", [
+        (["apv_latent", "KL"], 4, "^unknown criterion 'KL'$"),
+        (["apv_latent", "kl"], 1, "^M must be >= 2$"),
+    ])
+    def test_rejected_before_any_draw_or_fit(self, criteria, M, message, pois_model, grid,
+                                             monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("drew or fitted")
+
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", boom)
+        monkeypatch.setattr(ev.gp_gaussian, "sample_prior", boom)
+        with pytest.raises(LgcpDesignError, match=message):
+            ev.estimate(pois_model, halton(10), criteria, grid, M)
+
+    def test_empty_design_takes_the_prior_values(self, pois_model, grid):
+        from lgcp_design.designs import Design
+
+        empty = Design(np.empty((0, 3)), {})
+        rows = ev.estimate(pois_model, empty, ["kl", "apv_latent", "apv_intensity"], grid, 5)
+        assert [r.value for r in rows] == [
+            0.0,
+            expected_apv(pois_model, empty, grid, 5, target="latent").value,
+            expected_apv(pois_model, empty, grid, 5, target="intensity").value,
+        ]
+        assert [r.std_error for r in rows] == [0.0] * 3
+
+
 class TestGaussianShortcut:
     def test_apv_latent_deterministic(self, gauss_model, grid):
         design = random_design(20, seed=3)
