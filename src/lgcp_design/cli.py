@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +20,8 @@ import numpy as np
 from . import designs as dsg
 from . import evaluation as ev
 from .domain import Domain, discretize, is_admissible, load_mask_file, unit_cube
-from .exceptions import LgcpDesignError, NumericalError
-from .kernels import CovStructure, KernelSpec, MeanFunction
+from .exceptions import Choices, LgcpDesignError, NumericalError
+from .kernels import COV_MODES, KERNEL_FAMILIES, CovStructure, KernelSpec, MeanFunction
 from .lgcp import GaussianObs, Model, NegativeBinomial, Poisson
 
 EXIT_OK = 0
@@ -50,9 +52,7 @@ def parse_config(path) -> dict:
 
 
 def config_hash(config: dict) -> str:
-    canon = "\n".join(
-        f"{k}={v}" for k in sorted(config) for v in config[k]
-    )
+    canon = "\n".join(f"{k}={v}" for k in sorted(config) for v in config[k])
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -65,81 +65,11 @@ def _cast(cast, key, value):
         ) from None
 
 
-def _values(config, key, default):
-    """The values of ``key``, or None for an absent key with a default; an
-    absent key without one, or a key given with no value, is a usage error."""
-    if key not in config:
-        if default is None:
-            raise LgcpDesignError(f"config missing required key {key!r}")
-        return None
-    if not config[key]:
-        raise LgcpDesignError(f"config key {key!r} has no value")
-    return config[key]
-
-
-def _one(config, key, default=None, cast=str):
-    values = _values(config, key, default)
-    return default if values is None else _cast(cast, key, values[-1])
-
-
-def _many(config, key, cast=str, default=None):
-    values = _values(config, key, default)
-    return default if values is None else [_cast(cast, key, v) for v in values]
-
-
 # ----------------------------------------------------------------------
-# shared construction helpers
+# design generators
 
 
-def _domain_from_args(args) -> Domain:
-    if getattr(args, "mask", None):
-        if not os.path.exists(args.mask):
-            raise FileNotFoundError(f"mask file not found: {args.mask}")
-        return load_mask_file(args.mask)
-    if getattr(args, "bounds", None):
-        b = np.asarray(args.bounds, dtype=float).reshape(3, 2)
-        return Domain(b)
-    return unit_cube()
-
-
-def _build_model(cov_mode, l_s, l_t, sigma2_s, sigma2_t, spatial_family,
-                 temporal_family, mean, obs) -> Model:
-    if cov_mode == "separable":
-        spatial = KernelSpec(spatial_family, l_s, 1.0)
-    else:
-        spatial = KernelSpec(spatial_family, l_s, sigma2_s)
-    temporal = KernelSpec(temporal_family, l_t, sigma2_t)
-    return Model(mean, CovStructure(cov_mode, spatial, temporal), obs)
-
-
-def _obs_from_spec(kind, sigma2, r, volume):
-    if kind == "poisson":
-        return Poisson()
-    if kind == "gaussian":
-        return GaussianObs(sigma2)
-    if kind == "negbin":
-        return NegativeBinomial(r, volume)
-    raise LgcpDesignError(f"unknown observation kind {kind!r}")
-
-
-def _model_from_args(args) -> Model:
-    return _build_model(
-        args.cov_mode, args.l_s, args.l_t, args.sigma2_s, args.sigma2_t,
-        args.spatial_family, args.temporal_family,
-        MeanFunction.concave_quadratic_time(args.mean_a, args.mean_b, args.mean_c),
-        _obs_from_spec(args.obs, args.obs_sigma2, args.obs_r, args.obs_volume),
-    )
-
-
-class _Request(NamedTuple):
-    n: int
-    domain: Domain
-    seed: object
-    grid: object
-    delta: float
-    k: int | None
-    incl: object
-    offset: int
+_Request = namedtuple("_Request", "n domain seed grid delta k incl offset")
 
 
 def _grid(r, message):
@@ -152,12 +82,6 @@ def _incl(r):
     if r.incl is None:
         raise LgcpDesignError("rejection designs need an inclusion probability")
     return r.incl
-
-
-def _space_fill_rejection(r):
-    incl = _incl(r)
-    cells = _grid(r, "space_fill needs a candidate grid").cells
-    return dsg.space_fill_rejection(r.n, cells, incl, r.seed, domain=r.domain)
 
 
 def _rejection(base):
@@ -179,7 +103,10 @@ _GENERATORS = {
         r.n, r.delta, _grid(r, "min_dist needs a grid"), r.seed),
     "space_fill": lambda r: dsg.coffee_house(
         r.n, _grid(r, "space_fill needs a candidate grid").cells, domain=r.domain),
-    "space_fill+rejection": _space_fill_rejection,
+    # the inclusion probability is checked before the grid
+    "space_fill+rejection": lambda r: dsg.space_fill_rejection(
+        r.n, incl=_incl(r), candidates=_grid(r, "space_fill needs a candidate grid").cells,
+        seed=r.seed, domain=r.domain),
     **{f"{base}+rejection": _rejection(base) for base in dsg.BASE_GENERATORS},
 }
 
@@ -204,22 +131,148 @@ def generate_design(name, n, domain, seed, grid=None, delta=None, k=None,
 
 
 # ----------------------------------------------------------------------
+# the options of design, evaluate and simstudy
+
+_REQUIRED = object()  # the default of an option that must be given
+
+
+class _Option(NamedTuple):
+    """One option: the flag ``flag`` or ``--<key>`` (``_`` written ``-``) and
+    the config key ``<key>``. An absent one takes ``default`` (None: unset). A
+    ``many`` option takes every value of its config key, and from its flag
+    ``nargs`` values or one per repeat."""
+
+    cast: type = float
+    default: object = None
+    choices: Choices | None = None
+    check: object = None  # raises LgcpDesignError for a value it does not allow
+    lo: int | None = None  # the smallest allowed value
+    many: bool = False
+    nargs: int | None = None
+    flag: str | None = None
+    metavar: object = None
+    help: str | None = None
+
+    def validate(self, key, value):
+        if self.lo is not None and value < self.lo:
+            raise LgcpDesignError(f"{key} must be >= {self.lo}")
+        if self.choices is not None:
+            self.choices.check(value)
+        if self.check is not None:
+            self.check(value)
+
+
+# Each observation kind and how it is built from the option values.
+_OBSERVATIONS = {
+    "poisson": lambda v: Poisson(),
+    "gaussian": lambda v: GaussianObs(v["obs_sigma2"]),
+    "negbin": lambda v: NegativeBinomial(v["obs_r"], v["obs_volume"]),
+}
+
+_MODEL = {
+    "cov_mode": _Option(str, "additive", COV_MODES),
+    "spatial_family": _Option(str, "matern32", KERNEL_FAMILIES),
+    "temporal_family": _Option(str, "sqexp", KERNEL_FAMILIES),
+    "l_s": _Option(default=0.8),
+    "l_t": _Option(default=1.5),
+    "sigma2_s": _Option(default=2.0),
+    "sigma2_t": _Option(default=2.0),
+    "mean_a": _Option(default=2.0),
+    "mean_b": _Option(default=0.5),
+    "mean_c": _Option(default=30.0),
+    "obs": _Option(str, "poisson", Choices("observation kind", *_OBSERVATIONS)),
+    "obs_sigma2": _Option(default=0.5),
+    "obs_r": _Option(default=10.0),
+    "obs_volume": _Option(default=1.0),
+}
+
+# Every option, with its type, default and allowed values: the one table the
+# flags of design and evaluate and the config keys of simstudy are read from.
+OPTIONS = {
+    **_MODEL,
+    "generator": _Option(str, _REQUIRED, check=_check_generator),
+    "design": _Option(str, _REQUIRED, check=_check_generator),
+    "n": _Option(int, _REQUIRED, lo=1),
+    "criterion": _Option(str, ("apv_intensity",), ev.CRITERIA, many=True),
+    "M": _Option(int, 50, lo=2),
+    "seed": _Option(int, 0, lo=0),
+    "offset": _Option(int, 0, lo=0),
+    "delta": _Option(),
+    "close_pairs": _Option(int, metavar="K"),
+    "grid_resolution": _Option(
+        int, (10, 10, 8), many=True, nargs=3, flag="--grid-res", metavar="GRID_RES"),
+    "incl_variant": _Option(str, "scaled_latent_mean", dsg.INCL_VARIANTS),
+    "p_max": _Option(default=0.5),
+    "mask": _Option(str, help="raster mask file (implies its bounds)"),
+    "bounds": _Option(nargs=6, metavar=("LO1", "HI1", "LO2", "HI2", "LOT", "HIT"),
+                      help="axis-aligned box; default unit cube"),
+}
+
+
+def _checked(values: dict) -> dict:
+    """``values``, option key -> value or list of values, once each value
+    passes its option's checks; the first that fails raises LgcpDesignError."""
+    for key, value in values.items():
+        if key in OPTIONS and value is not None:
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                OPTIONS[key].validate(key, v)
+    if "p_max" in values:
+        dsg.InclusionProbability.check(values["incl_variant"], values["p_max"])
+    return values
+
+
+def _build_model(v: dict) -> Model:
+    """The model of the option values ``v``; separable mode fixes the spatial
+    variance at 1, so it ignores sigma2_s."""
+    obs = _OBSERVATIONS[v["obs"]](v)
+    sigma2_s = 1.0 if v["cov_mode"] == "separable" else v["sigma2_s"]
+    spatial = KernelSpec(v["spatial_family"], v["l_s"], sigma2_s)
+    temporal = KernelSpec(v["temporal_family"], v["l_t"], v["sigma2_t"])
+    mean = MeanFunction.concave_quadratic_time(v["mean_a"], v["mean_b"], v["mean_c"])
+    return Model(mean, CovStructure(v["cov_mode"], spatial, temporal), obs)
+
+
+def _domain(v: dict) -> Domain:
+    if v["mask"]:
+        if not os.path.exists(v["mask"]):
+            raise FileNotFoundError(f"mask file not found: {v['mask']}")
+        return load_mask_file(v["mask"])
+    if v["bounds"]:
+        return Domain(np.asarray(v["bounds"], dtype=float).reshape(3, 2))
+    return unit_cube()
+
+
+# ----------------------------------------------------------------------
 # simstudy
+
+# The sweep axes, outermost first: one cell per combination of their values.
+# A config gives every axis but cov_mode.
+_AXES = ("cov_mode", "l_t", "sigma2_t", "l_s", "design", "n")
+_CONFIG_KEYS = (*_MODEL, "design", "n", "criterion", "M", "seed", "grid_resolution",
+                "incl_variant", "p_max", "mask")
+
+
+def _read(config, key):
+    """Config key ``key``, cast to its option's type: all its values for a
+    sweep axis or a ``many`` option, else its last. An absent key takes the
+    option's default; a key given with no value is a usage error."""
+    opt = OPTIONS[key]
+    if key not in config:
+        if key in _AXES[1:]:
+            raise LgcpDesignError(f"config missing required key {key!r}")
+        return [opt.default] if key in _AXES else opt.default
+    if not config[key]:
+        raise LgcpDesignError(f"config key {key!r} has no value")
+    if key in _AXES or opt.many:
+        return [_cast(opt.cast, key, value) for value in config[key]]
+    return _cast(opt.cast, key, config[key][-1])
 
 
 def enumerate_cells(config: dict) -> list[tuple]:
     """All (cov_mode, l_t, sigma2_t, l_s, design, n) cells of a sweep, in order.
 
     Each configured criterion is evaluated within every cell."""
-    cells = []
-    for cov_mode in _many(config, "cov_mode", str, ["additive"]):
-        for l_t in _many(config, "l_t", float):
-            for s2t in _many(config, "sigma2_t", float):
-                for l_s in _many(config, "l_s", float):
-                    for name in _many(config, "design", str):
-                        for n in _many(config, "n", int):
-                            cells.append((cov_mode, l_t, s2t, l_s, name, n))
-    return cells
+    return list(itertools.product(*(_read(config, key) for key in _AXES)))
 
 
 def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
@@ -229,87 +282,48 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     criterion is evaluated in each cell. Returns the two CSV paths.
     """
     chash = config_hash(config)
-
-    sigma2_s = _one(config, "sigma2_s", 2.0, float)
-    spatial_family = _one(config, "spatial_family", "matern32")
-    temporal_family = _one(config, "temporal_family", "sqexp")
-    mean = MeanFunction.concave_quadratic_time(
-        _one(config, "mean_a", 2.0, float),
-        _one(config, "mean_b", 0.5, float),
-        _one(config, "mean_c", 30.0, float),
-    )
-    obs = _obs_from_spec(
-        _one(config, "obs", "poisson"),
-        _one(config, "obs_sigma2", 0.5, float),
-        _one(config, "obs_r", 10.0, float),
-        _one(config, "obs_volume", 1.0, float),
-    )
-    criteria = _many(config, "criterion", str, ["apv_intensity"])
-    for criterion in criteria:
-        if criterion not in ev.CRITERIA:
-            raise LgcpDesignError(f"unknown criterion {criterion!r}")
-    for name in _many(config, "design", str):
-        _check_generator(name)
-    M = _one(config, "M", 50, int)
-    root_seed = _one(config, "seed", 0, int)
-    res = tuple(_many(config, "grid_resolution", int, [10, 10, 8]))
-    incl_variant = _one(config, "incl_variant", "scaled_latent_mean")
-    p_max = _one(config, "p_max", 0.5, float)
-
-    if "mask" in config:
-        domain = load_mask_file(_one(config, "mask"))
-    else:
-        domain = unit_cube()
-    grid = discretize(domain, res)
-    cells = enumerate_cells(config)
-    # M, every n and every parameter setting's model are checked before the
+    # every value, and every parameter setting's model, is checked before the
     # output exists, so a bad value is a usage error before the first cell runs
-    if M < 2:
-        raise LgcpDesignError("M must be >= 2")
-    if any(cell[5] < 1 for cell in cells):
-        raise LgcpDesignError("n must be >= 1")
+    v = _checked({key: _read(config, key) for key in _CONFIG_KEYS})
+    domain = load_mask_file(v["mask"]) if v["mask"] else unit_cube()
+    grid = discretize(domain, v["grid_resolution"])
+    cells = list(itertools.product(*(v[key] for key in _AXES)))
     models = {
-        (cov_mode, l_t, s2t, l_s): _build_model(
-            cov_mode, l_s, l_t, sigma2_s, s2t, spatial_family, temporal_family,
-            mean, obs,
-        )
-        for cov_mode, l_t, s2t, l_s in dict.fromkeys(cell[:4] for cell in cells)
+        setting: _build_model({**v, **dict(zip(_AXES, setting))})
+        for setting in dict.fromkeys(cell[:4] for cell in cells)
     }
     os.makedirs(outdir, exist_ok=True)
 
     results = []
-    for idx, (cov_mode, l_t, s2t, l_s, name, n) in enumerate(cells):
-        model = models[cov_mode, l_t, s2t, l_s]
+    for idx, cell in enumerate(cells):
+        model = models[cell[:4]]
+        name, n = cell[4:]
         incl = None
         if name.endswith("+rejection"):
-            incl = dsg.InclusionProbability.build(incl_variant, model, grid, p_max=p_max)
-        design_seed = int(
-            np.random.SeedSequence(root_seed, spawn_key=(idx, 0)).generate_state(1)[0]
+            incl = dsg.InclusionProbability.build(v["incl_variant"], model, grid, p_max=v["p_max"])
+        design_seed, eval_seed = (
+            int(np.random.SeedSequence(v["seed"], spawn_key=(idx, j)).generate_state(1)[0])
+            for j in (0, 1)
         )
         design = generate_design(name, n, domain, design_seed, grid=grid, incl=incl)
-        eval_seed = int(
-            np.random.SeedSequence(root_seed, spawn_key=(idx, 1)).generate_state(1)[0]
-        )
         rows = []
         # one call per criterion, though one call would fit each replicate
         # once: the benchmark derives failed fits from the rows, one per
         # criterion, until ROADMAP item 5 counts them per fit
-        for criterion in criteria:
+        for criterion in v["criterion"]:
             try:
-                est = ev.estimate(model, design, [criterion], grid, M, eval_seed)[0]
+                est = ev.estimate(model, design, [criterion], grid, v["M"], eval_seed)[0]
                 rows.append((criterion, est.value, est.std_error, est.M, ""))
             except NumericalError as exc:
                 rows.append((criterion, float("nan"), float("nan"), 0, str(exc)))
-        results.append(((cov_mode, l_t, s2t, l_s, name, n), rows))
+        results.append((cell, rows))
 
     cell_path = os.path.join(outdir, "cells.csv")
     agg_path = os.path.join(outdir, "aggregated.csv")
     columns = "cov_mode,l_t,sigma2_t,l_s,design,n,criterion,estimate,std_error,M,error"
     with open(cell_path, "w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write(columns + "\n")
-        for key, rows in results:
-            cov_mode, l_t, s2t, l_s, name, n = key
+        fh.write(f"# config_hash={chash}\n{columns}\n")
+        for (cov_mode, l_t, s2t, l_s, name, n), rows in results:
             for criterion, est, se, m, err in rows:
                 fh.write(
                     f"{cov_mode},{l_t:.17g},{s2t:.17g},{l_s:.17g},{name},{n},"
@@ -318,8 +332,7 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
 
     # aggregate over l_s (the figure convention)
     groups: dict[tuple, list[tuple[float, float]]] = {}
-    for key, rows in results:
-        cov_mode, l_t, s2t, _l_s, name, n = key
+    for (cov_mode, l_t, s2t, _l_s, name, n), rows in results:
         for criterion, est, se, _m, err in rows:
             if not err:
                 gkey = (cov_mode, l_t, s2t, name, n, criterion)
@@ -327,10 +340,8 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     with open(agg_path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("cov_mode,l_t,sigma2_t,design,n,criterion,estimate,std_error,cells\n")
-        for gkey, vals in groups.items():
-            est = float(np.mean([v[0] for v in vals]))
-            se = float(np.mean([v[1] for v in vals]))
-            cov_mode, l_t, s2t, name, n, criterion = gkey
+        for (cov_mode, l_t, s2t, name, n, criterion), vals in groups.items():
+            est, se = (float(np.mean(column)) for column in zip(*vals))
             fh.write(
                 f"{cov_mode},{l_t:.17g},{s2t:.17g},{name},{n},{criterion},"
                 f"{est:.17g},{se:.17g},{len(vals)}\n"
@@ -342,29 +353,15 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
 # argument parsing
 
 
-def _add_domain_args(p):
-    p.add_argument("--mask", help="raster mask file (implies its bounds)")
-    p.add_argument(
-        "--bounds", type=float, nargs=6, metavar=("LO1", "HI1", "LO2", "HI2", "LOT", "HIT"),
-        help="axis-aligned box; default unit cube",
-    )
-
-
-def _add_model_args(p):
-    p.add_argument("--cov-mode", choices=["separable", "additive"], default="additive")
-    p.add_argument("--spatial-family", choices=["matern32", "sqexp"], default="matern32")
-    p.add_argument("--temporal-family", choices=["matern32", "sqexp"], default="sqexp")
-    p.add_argument("--l-s", type=float, default=0.8)
-    p.add_argument("--l-t", type=float, default=1.5)
-    p.add_argument("--sigma2-s", type=float, default=2.0)
-    p.add_argument("--sigma2-t", type=float, default=2.0)
-    p.add_argument("--mean-a", type=float, default=2.0)
-    p.add_argument("--mean-b", type=float, default=0.5)
-    p.add_argument("--mean-c", type=float, default=30.0)
-    p.add_argument("--obs", choices=["poisson", "gaussian", "negbin"], default="poisson")
-    p.add_argument("--obs-sigma2", type=float, default=0.5)
-    p.add_argument("--obs-r", type=float, default=10.0)
-    p.add_argument("--obs-volume", type=float, default=1.0)
+def _add_options(p, *keys):
+    for key in keys:
+        opt = OPTIONS[key]
+        p.add_argument(
+            opt.flag or "--" + key.replace("_", "-"), dest=key, type=opt.cast,
+            choices=opt.choices, required=opt.default is _REQUIRED, nargs=opt.nargs,
+            action="append" if opt.many and opt.nargs is None else "store",
+            metavar=opt.metavar, help=opt.help,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,33 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_design = sub.add_parser("design", help="generate a design CSV")
-    p_design.add_argument("--generator", required=True)
-    p_design.add_argument("--n", type=int, required=True)
-    p_design.add_argument("--seed", type=int, default=0)
-    p_design.add_argument("--offset", type=int, default=0)
-    p_design.add_argument("--delta", type=float)
-    p_design.add_argument("--close-pairs", type=int, dest="k")
-    p_design.add_argument("--grid-res", type=int, nargs=3, default=[10, 10, 8])
-    p_design.add_argument("--incl-variant", choices=[
-        "scaled_latent_mean", "expected_intensity", "truncated_expected_intensity",
-    ], default="scaled_latent_mean")
-    p_design.add_argument("--p-max", type=float, default=0.5)
+    _add_options(p_design, "generator", "n", "seed", "offset", "delta", "close_pairs",
+                 "grid_resolution", "incl_variant", "p_max")
     p_design.add_argument("--out", required=True)
     p_design.add_argument("--provenance")
-    _add_domain_args(p_design)
-    _add_model_args(p_design)
+    _add_options(p_design, "mask", "bounds", *_MODEL)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a design CSV")
-    p_eval.add_argument("--design", required=True, help="design CSV path")
-    p_eval.add_argument(
-        "--criterion", action="append", choices=list(ev.CRITERIA), default=None,
-    )
-    p_eval.add_argument("--M", type=int, default=50)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--grid-res", type=int, nargs=3, default=[10, 10, 8])
+    p_eval.add_argument("--design", dest="design_csv", metavar="DESIGN", required=True,
+                        help="design CSV path")
+    _add_options(p_eval, "criterion", "M", "seed", "grid_resolution")
     p_eval.add_argument("--out", required=True)
-    _add_domain_args(p_eval)
-    _add_model_args(p_eval)
+    _add_options(p_eval, "mask", "bounds", *_MODEL)
 
     p_sim = sub.add_parser("simstudy", help="run a simulation-study sweep")
     p_sim.add_argument("--config", required=True)
@@ -409,64 +391,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_design(args) -> int:
-    domain = _domain_from_args(args)
-    grid = discretize(domain, tuple(args.grid_res))
+def _cmd_design(v) -> int:
+    domain = _domain(v)
+    grid = discretize(domain, v["grid_resolution"])
     incl = None
-    if args.generator.endswith("+rejection"):
-        incl = dsg.InclusionProbability.build(
-            args.incl_variant, _model_from_args(args), grid, p_max=args.p_max,
-        )
-    design = generate_design(
-        args.generator, args.n, domain, args.seed, grid=grid,
-        delta=args.delta, k=args.k, incl=incl, offset=args.offset,
-    )
-    dsg.save_design(design, args.out, args.provenance)
+    if v["generator"].endswith("+rejection"):
+        model = _build_model(v)
+        incl = dsg.InclusionProbability.build(v["incl_variant"], model, grid, p_max=v["p_max"])
+    design = generate_design(v["generator"], v["n"], domain, v["seed"], grid=grid,
+                             delta=v["delta"], k=v["close_pairs"], incl=incl, offset=v["offset"])
+    dsg.save_design(design, v["out"], v["provenance"])
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    domain = _domain_from_args(args)
-    grid = discretize(domain, tuple(args.grid_res))
-    design = dsg.load_design(args.design)
+def _cmd_evaluate(v) -> int:
+    domain = _domain(v)
+    grid = discretize(domain, v["grid_resolution"])
+    design = dsg.load_design(v["design_csv"])
     if design.n == 0:
-        raise LgcpDesignError(f"design CSV {args.design} holds no points")
+        raise LgcpDesignError(f"design CSV {v['design_csv']} holds no points")
     outside = np.flatnonzero(~is_admissible(design.points, domain))
     if outside.size:
         k = outside[0]
         raise LgcpDesignError(
-            f"design CSV {args.design}: point {k + 1} {tuple(design.points[k].tolist())} "
+            f"design CSV {v['design_csv']}: point {k + 1} {tuple(design.points[k].tolist())} "
             "lies outside the evaluation domain"
         )
-    model = _model_from_args(args)
-    criteria = args.criterion or ["apv_intensity"]
     name = design.provenance.get("generator", "design")
     rows = [
         {"design_name": name, "criterion": est.criterion, "estimate": est.value,
          "std_error": est.std_error, "M": est.M, "reduction_vs_base_pct": ""}
-        for est in ev.estimate(model, design, criteria, grid, args.M, args.seed)
+        for est in ev.estimate(_build_model(v), design, v["criterion"], grid, v["M"], v["seed"])
     ]
-    ev.write_comparison_csv(rows, args.out)
+    ev.write_comparison_csv(rows, v["out"])
     return EXIT_OK
 
 
-def _cmd_simstudy(args) -> int:
-    if not os.path.exists(args.config):
-        raise FileNotFoundError(f"config file not found: {args.config}")
-    config = parse_config(args.config)
-    run_simulation_study(config, args.out)
+def _cmd_simstudy(v) -> int:
+    if not os.path.exists(v["config"]):
+        raise FileNotFoundError(f"config file not found: {v['config']}")
+    run_simulation_study(parse_config(v["config"]), v["out"])
     return EXIT_OK
+
+
+_COMMANDS = {"design": _cmd_design, "evaluate": _cmd_evaluate, "simstudy": _cmd_simstudy}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a flag left out takes its option's default
+    values = {
+        key: OPTIONS[key].default if value is None and key in OPTIONS else value
+        for key, value in vars(args).items()
+    }
     try:
-        if args.command == "design":
-            return _cmd_design(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        return _cmd_simstudy(args)
+        return _COMMANDS[args.command](_checked(values))
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

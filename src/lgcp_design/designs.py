@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain, from_unit_cube, is_admissible, to_unit_cube, unit_cube
-from .exceptions import DegenerateFieldError, InfeasibleDesignError, LgcpDesignError
+from .exceptions import Choices, DegenerateFieldError, InfeasibleDesignError, LgcpDesignError
 
 __all__ = [
     "Design",
@@ -66,7 +66,7 @@ def default_delta(n: int) -> float:
 # ----------------------------------------------------------------------
 # proposal source (base sequences, drawn as arrays)
 
-BASE_GENERATORS = ("random", "halton", "sobol", "fibonacci")
+BASE_GENERATORS = Choices("base generator", "random", "halton", "sobol", "fibonacci")
 
 
 def _van_der_corput(i: np.ndarray, base: int) -> np.ndarray:
@@ -142,8 +142,7 @@ class _Proposals:
     """
 
     def __init__(self, name, domain, seed, offset, n_hint):
-        if name not in BASE_GENERATORS:
-            raise LgcpDesignError(f"unknown base generator {name!r}")
+        BASE_GENERATORS.check(name)
         self._name, self._domain, self._index = name, domain, offset
         self._misses = 0  # masked proposals since the last admissible one
         self._ready = np.empty((0, 3))  # admissible points drawn, not yet taken
@@ -410,6 +409,10 @@ def coffee_house(
 # inclusion probabilities
 
 
+INCL_VARIANTS = Choices("inclusion-probability variant", "scaled_latent_mean",
+                        "expected_intensity", "truncated_expected_intensity")
+
+
 @dataclass(frozen=True)
 class InclusionProbability:
     """Per-location acceptance probability for rejection thinning.
@@ -427,6 +430,13 @@ class InclusionProbability:
     lo: float = 0.0
     normalizer: float = 1.0
 
+    @staticmethod
+    def check(variant, p_max=None):
+        """Raise LgcpDesignError unless ``build`` takes this variant and p_max."""
+        INCL_VARIANTS.check(variant)
+        if variant == "truncated_expected_intensity" and (p_max is None or not 0.0 < p_max <= 1.0):
+            raise LgcpDesignError("truncated variant needs p_max in (0, 1]")
+
     @classmethod
     def build(cls, variant, model, grid, p_max=None) -> "InclusionProbability":
         """Construct from a model's mean/variance fields, normalized over a grid.
@@ -434,6 +444,7 @@ class InclusionProbability:
         ``model`` is a prior model or a posterior-conditioned one; mean and
         variance come from one ``model.moments_at`` call per evaluation.
         """
+        cls.check(variant, p_max)
         moments_fn = model.moments_at
         mu, s2 = moments_fn(grid.cells)
         if variant == "scaled_latent_mean":
@@ -443,14 +454,10 @@ class InclusionProbability:
                     "latent mean is constant over the grid; min-max scaling undefined"
                 )
             return cls(variant, moments_fn, None, lo, hi - lo)
-        if variant in ("expected_intensity", "truncated_expected_intensity"):
-            normalizer = float(np.max(np.exp(mu + 2.0 * s2)))
-            if variant == "expected_intensity":
-                return cls(variant, moments_fn, None, 0.0, normalizer)
-            if p_max is None or not 0.0 < p_max <= 1.0:
-                raise LgcpDesignError("truncated variant needs p_max in (0, 1]")
-            return cls(variant, moments_fn, float(p_max), 0.0, normalizer)
-        raise LgcpDesignError(f"unknown inclusion-probability variant {variant!r}")
+        normalizer = float(np.max(np.exp(mu + 2.0 * s2)))
+        if variant == "expected_intensity":
+            return cls(variant, moments_fn, None, 0.0, normalizer)
+        return cls(variant, moments_fn, float(p_max), 0.0, normalizer)
 
     @classmethod
     def constant(cls, p: float) -> "InclusionProbability":

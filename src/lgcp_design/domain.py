@@ -98,9 +98,12 @@ def discretize(domain: Domain, resolution: tuple[int, int, int]) -> Grid:
     """Discretize the domain into a lattice and return admissible cell centers.
 
     Centers are enumerated with s1 fastest and t slowest; masked cells are
-    omitted. Raises EmptyGridError if nothing is admissible.
+    omitted. A resolution other than three positive entries raises
+    LgcpDesignError, and EmptyGridError is raised if nothing is admissible.
     """
     res = tuple(int(r) for r in resolution)
+    if len(res) != 3:
+        raise LgcpDesignError(f"resolution must have three entries (s1, s2, t), got {len(res)}")
     if any(r < 1 for r in res):
         raise LgcpDesignError("resolution must be >= 1 per axis")
     axes = [

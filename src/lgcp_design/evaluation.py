@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp_gaussian, lgcp
-from .exceptions import LgcpDesignError, NumericalError
+from .exceptions import Choices, LgcpDesignError, NumericalError
 from .lgcp import GaussianObs
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "CRITERIA",
 ]
 
-CRITERIA = ("apv_latent", "apv_intensity", "kl")
+CRITERIA = Choices("criterion", "apv_latent", "apv_intensity", "kl")
 REPLICATE_FAIL_FRACTION = 0.05
 
 
@@ -157,8 +157,7 @@ def estimate(model, design, criteria, grid, M: int, seed=0) -> list[UtilityEstim
     if M < 2:
         raise LgcpDesignError("M must be >= 2")
     for c in criteria:
-        if c not in CRITERIA:
-            raise LgcpDesignError(f"unknown criterion {c!r}")
+        CRITERIA.check(c)
     provenance = getattr(design, "provenance", {})
     points = _points(design)
     fixed = {}
@@ -302,8 +301,7 @@ def compare_designs(
     replicates.
     """
     for c in criteria:
-        if c not in CRITERIA:
-            raise LgcpDesignError(f"unknown criterion {c!r}")
+        CRITERIA.check(c)
     names = list(designs)
     base_of = base_of or {}
     for name, base in base_of.items():

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the allowed-values check, shared across the package."""
 
 
 class LgcpDesignError(Exception):
@@ -19,3 +19,16 @@ class InfeasibleDesignError(LgcpDesignError):
 
 class DegenerateFieldError(LgcpDesignError):
     """An inclusion-probability field is constant where min-max scaling is required."""
+
+
+class Choices(tuple):
+    """The allowed values of a setting; ``check`` raises for any other."""
+
+    def __new__(cls, noun, *values):
+        choices = super().__new__(cls, values)
+        choices.noun = noun
+        return choices
+
+    def check(self, value):
+        if value not in self:
+            raise LgcpDesignError(f"unknown {self.noun} {value!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import LgcpDesignError
+from .exceptions import Choices, LgcpDesignError
 
 __all__ = [
     "KernelSpec",
@@ -28,6 +28,8 @@ __all__ = [
 # Relative diagonal jitter applied before any Cholesky factorization.
 JITTER_SCALE = 1e-8
 
+COV_MODES = Choices("covariance mode", "separable", "additive")
+
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -35,20 +37,17 @@ _SQRT3 = np.sqrt(3.0)
 class KernelSpec:
     """One stationary kernel: family, lengthscale and variance."""
 
-    family: str  # "matern32" or "sqexp"
+    family: str  # one of KERNEL_FAMILIES
     lengthscale: float
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("matern32", "sqexp"):
-            raise LgcpDesignError(f"unknown kernel family {self.family!r}")
+        KERNEL_FAMILIES.check(self.family)
         if not (0 < self.lengthscale < np.inf and 0 < self.variance < np.inf):
             raise LgcpDesignError("lengthscale and variance must be positive and finite")
 
     def __call__(self, distance):
-        if self.family == "matern32":
-            return matern32(distance, self)
-        return sqexp(distance, self)
+        return _KERNEL_INTO[self.family](np.array(distance, dtype=float), self)[()]
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,12 @@ class CovStructure:
     the constructor enforces it.
     """
 
-    mode: str  # "separable" or "additive"
+    mode: str  # one of COV_MODES
     spatial: KernelSpec
     temporal: KernelSpec
 
     def __post_init__(self):
-        if self.mode not in ("separable", "additive"):
-            raise LgcpDesignError(f"unknown covariance mode {self.mode!r}")
+        COV_MODES.check(self.mode)
         if self.mode == "separable" and self.spatial.variance != 1.0:
             raise LgcpDesignError(
                 "separable mode requires spatial variance 1 (identifiability)"
@@ -112,6 +110,7 @@ def _sqexp_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = None):
 
 
 _KERNEL_INTO = {"matern32": _matern32_into, "sqexp": _sqexp_into}
+KERNEL_FAMILIES = Choices("kernel family", *_KERNEL_INTO)
 
 
 def matern32(distance, spec: KernelSpec):

@@ -229,6 +229,21 @@ class TestDesignCommand:
             f"error: design CSV {design}, line 4: expected three finite numbers, got '{row}'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("design", ["--generator", "random", "--seed", "-1"], "seed must be >= 0"),
+        ("design", ["--generator", "halton", "--incl-variant", "truncated_expected_intensity",
+                    "--p-max", "2"], "truncated variant needs p_max in (0, 1]"),
+        ("design", ["--generator", "sobol", "--offset", "-3"], "offset must be >= 0"),
+        ("evaluate", ["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["design-seed", "design-p_max", "design-offset", "evaluate-seed"])
+    def test_bad_value_usage_error(self, tmp_path, capsys, command, flags, message):
+        design, out = tmp_path / "d.csv", tmp_path / "out.csv"
+        design.write_text("s1,s2,t\n0.1,0.2,0.3\n")
+        args = ["--n", "5"] if command == "design" else ["--design", str(design), "--M", "4"]
+        assert main([command, *args, *flags, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["design", "--generator", "min_dran", "--n", "12", "--seed", "5"]
@@ -409,7 +424,9 @@ class TestSimstudy:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line", ["criterion KL\n", "M fifty\n", "l_t short\n", "n 0\n", "M 1\n"]
+        "line", ["criterion KL\n", "M fifty\n", "l_t short\n", "n 0\n", "M 1\n",
+                 "seed -1\n", "grid_resolution 8 8\n", "grid_resolution 5 5 4 7\n",
+                 "incl_variant bogus\n", "incl_variant truncated_expected_intensity\np_max 2\n"]
     )
     def test_usage_error_leaves_no_output_directory(self, tmp_path, line):
         cfg = tmp_path / "s.cfg"
@@ -417,6 +434,67 @@ class TestSimstudy:
         out = tmp_path / "o"
         assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("res", ["8 8", "5 5 4 7"])
+    def test_grid_resolution_needs_three_entries(self, tmp_path, capsys, res):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG.replace("5 5 4\n", f"{res}\n"))
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: resolution must have three entries (s1, s2, t), got {len(res.split())}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("incl_variant bogus\n", "unknown inclusion-probability variant 'bogus'"),
+        ("incl_variant truncated_expected_intensity\np_max nan\n",
+         "truncated variant needs p_max in (0, 1]"),
+    ])
+    def test_inclusion_setting_rejected_before_first_cell(self, tmp_path, monkeypatch, capsys,
+                                                          line, message):
+        # the halton cell, which needs no inclusion probability, would run first
+        calls = []
+        monkeypatch.setattr(ev, "_replicates", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "s.cfg"
+        config = SIMSTUDY_CONFIG.replace("design halton\n", "design halton halton+rejection\n")
+        cfg.write_text(config + line)
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cov_mode", ["separable", "additive"])
+    def test_cell_model_equals_evaluate_model(self, tmp_path, monkeypatch, cov_mode):
+        values = {
+            "cov_mode": cov_mode, "l_t": "0.9", "sigma2_t": "1.5", "l_s": "0.5",
+            "sigma2_s": "3", "spatial_family": "sqexp", "temporal_family": "matern32",
+            "mean_a": "1", "mean_b": "0.25", "mean_c": "4",
+            "obs": "negbin", "obs_r": "3", "obs_volume": "2",
+        }
+        real, models = ev.estimate, []
+
+        def recording(model, *args, **kwargs):
+            models.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(ev, "estimate", recording)
+        cfg, design = tmp_path / "s.cfg", tmp_path / "d.csv"
+        cfg.write_text("".join(f"{key} {value}\n" for key, value in values.items())
+                       + "design halton\nn 6\ncriterion kl\nM 2\ngrid_resolution 3 3 2\n")
+        assert main(["simstudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert main(["design", "--generator", "halton", "--n", "6",
+                     "--out", str(design)]) == EXIT_OK
+        flags = [arg for key, value in values.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        assert main(["evaluate", "--design", str(design), "--criterion", "kl", "--M", "2",
+                     "--grid-res", "3", "3", "2", *flags,
+                     "--out", str(tmp_path / "e.csv")]) == EXIT_OK
+        cell_model, evaluate_model = models
+        assert cell_model == evaluate_model
+        assert cell_model.cov.mode == cov_mode
+        assert cell_model.cov.spatial.variance == (1.0 if cov_mode == "separable" else 3.0)
+        assert cell_model.obs.r == 3.0 and cell_model.mean.params == (1.0, 0.25, 4.0)
 
     @pytest.mark.parametrize("line", ["M 4\n", "design halton\n"])
     def test_key_without_value_is_usage_error(self, tmp_path, line, capsys):

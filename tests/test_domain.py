@@ -48,6 +48,12 @@ class TestDiscretize:
         with pytest.raises(EmptyGridError):
             discretize(unit_cube(mask), (1, 1, 1))
 
+    @pytest.mark.parametrize("resolution", [(8, 8), (5, 5, 4, 7)], ids=["two", "four"])
+    def test_resolution_needs_three_entries(self, resolution):
+        with pytest.raises(LgcpDesignError, match=(
+                rf"^resolution must have three entries \(s1, s2, t\), got {len(resolution)}$")):
+            discretize(unit_cube(), resolution)
+
     def test_never_emits_masked_center(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
