@@ -1,5 +1,8 @@
-"""The six LAPACK and BLAS routines the library calls, without the
-``scipy.linalg`` package.
+"""The library's one LAPACK and BLAS boundary: the six routines it calls,
+loaded without the ``scipy.linalg`` package, and the one copy of each input
+check and factorization error around them. ``require_finite`` is scipy's
+non-finite check, which the raw routines skip; ``cholesky`` (dpotrf) and
+``qr_r`` (dgeqrf) are the checked factorizations.
 
 ``dpotrf``, ``dpotrs``, ``dtrtri``, ``dgeqrf`` and ``dgeqrf_lwork`` live in
 the extension module ``scipy.linalg._flapack``, and ``dtrmm`` in
@@ -21,7 +24,12 @@ import importlib.util
 import os
 import sys
 
-__all__ = ["dgeqrf", "dgeqrf_lwork", "dpotrf", "dpotrs", "dtrmm", "dtrtri"]
+import numpy as np
+
+from .exceptions import NumericalError
+
+__all__ = ["cholesky", "dgeqrf", "dgeqrf_lwork", "dpotrf", "dpotrs", "dtrmm", "dtrtri",
+           "qr_r", "require_finite"]
 
 
 def _extension(name: str):
@@ -55,3 +63,36 @@ dtrtri = _flapack.dtrtri
 dgeqrf = _flapack.dgeqrf
 dgeqrf_lwork = _flapack.dgeqrf_lwork
 dtrmm = _extension("_fblas").dtrmm
+
+
+def require_finite(*arrays):
+    """Raise scipy's ValueError if any array holds an inf or a NaN: the check
+    scipy.linalg makes and the raw routines above do not."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def cholesky(a, overwrite=False):
+    """``cho_factor(a, lower=True)[0]`` without its checks, in place for a
+    Fortran-ordered a with ``overwrite``; a failed factorization raises
+    NumericalError. a is not checked to be finite, so that a Newton fit
+    checks its K once, not at every iteration."""
+    c, info = dpotrf(a, lower=1, overwrite_a=overwrite, clean=0)
+    if info:
+        raise NumericalError(
+            "Cholesky factorization failed: "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return c
+
+
+def qr_r(A):
+    """R of a QR of the N x n matrix A, from dgeqrf with its optimal
+    workspace: upper triangular, min(N, n) x n, and in C order, so that R^T
+    is the Fortran-ordered operand dtrmm takes without a copy. A non-finite
+    A raises ValueError."""
+    require_finite(A)
+    rows, cols = A.shape
+    # a Householder QR has no failure mode; info reports only bad arguments
+    qr = dgeqrf(A, lwork=int(dgeqrf_lwork(rows, cols)[0]))[0]
+    return np.ascontiguousarray(np.triu(qr[: min(rows, cols)]))

@@ -285,7 +285,7 @@ def run_simulation_study(config: dict, outdir) -> tuple[str, str]:
     # every value, and every parameter setting's model, is checked before the
     # output exists, so a bad value is a usage error before the first cell runs
     v = _checked({key: _read(config, key) for key in _CONFIG_KEYS})
-    domain = load_mask_file(v["mask"]) if v["mask"] else unit_cube()
+    domain = _domain({**v, "bounds": None})
     grid = discretize(domain, v["grid_resolution"])
     cells = list(itertools.product(*(v[key] for key in _AXES)))
     models = {

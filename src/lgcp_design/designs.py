@@ -327,6 +327,8 @@ def min_dist_discrete(n: int, delta: float, grid, seed=0) -> Design:
     Proposals are taken uniformly without replacement; a cell is accepted if
     its unit-cube distance to every accepted point is at least delta.
     """
+    if delta <= 0:
+        raise LgcpDesignError("delta must be positive")
     if grid.N < n:
         raise LgcpDesignError("grid has fewer cells than the design size")
     domain = grid.domain

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp_gaussian, lgcp
+from ._lapack import require_finite
 from .exceptions import Choices, LgcpDesignError, NumericalError
 from .lgcp import GaussianObs
 
@@ -242,9 +243,7 @@ class ConditionedModel:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
         cross = [post.prior.query(q)[0].T for q in ((a,) if b is a else (a, b))]
-        if not all(np.isfinite(c).all() for c in cross):
-            # dtrmm does not check its input; this is scipy's error for it
-            raise ValueError("array must not contain infs or NaNs")
+        require_finite(*cross)  # for dtrmm, which does not check
         V = lgcp._whiten(post, *cross)
         # subtracted in place: the base covariance is a fresh array
         cov = post.model.cov_at(a, b)

@@ -1,19 +1,12 @@
 """The Gaussian-process prior: its data-independent terms at a point set
-(``PriorTerms``, which reads the prior moments from ``model.moments_at``),
-prior sampling, and the variance clamp of every prediction.
+(``PriorTerms``, which reads the prior moments from ``model.moments_at``)
+and prior sampling (``sample_prior``).
 
 Fitting, prediction and the KL divergence under every observation model,
 the Gaussian one included, are ``lgcp.fit_lgcp``, ``lgcp.laplace_predict``
-and ``lgcp.kl_lemma1``; for Gaussian observations the Laplace posterior is
-the exact GP posterior, and Gauss-Hermite quadrature integrates its
-quadratic log likelihood exactly. All three read the prior from a
-``PriorTerms``, and so does ``lgcp.mean_latent_variance``, from the QR
-factor of a grid cross-covariance. All solves go through Cholesky
-factorizations.
-Negative variances that ``laplace_predict`` predicts through cancellation
-are clamped to zero, and a clamp rate above 0.1% of queries raises
-NumericalError instead of being hidden; ``lgcp.mean_latent_variance`` checks
-its mean instead.
+and ``lgcp.kl_lemma1``; all three read the prior from a ``PriorTerms``, and
+so does ``lgcp.mean_latent_variance``, from the QR factor of a grid
+cross-covariance. The factorizations and their checks are ``_lapack``'s.
 """
 
 from __future__ import annotations
@@ -23,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dgeqrf, dgeqrf_lwork, dpotrf
-from .exceptions import LgcpDesignError, NumericalError
+from ._lapack import cholesky, qr_r, require_finite
+from .exceptions import LgcpDesignError
 # cov_matrix is unused here but stays a module attribute: the perfbench
 # tracer test checks that it is wrapped in every module that imports it
 from .kernels import JITTER_SCALE, cov_matrix  # noqa: F401
@@ -33,55 +26,6 @@ __all__ = [
     "PriorTerms",
     "sample_prior",
 ]
-
-CLAMP_FAIL_FRACTION = 1e-3
-
-
-def _chol(mat: np.ndarray, jitter: float):
-    """Cholesky of mat + jitter*I as ``cho_factor(..., lower=True)`` returns
-    it, from the dpotrf call it makes; factorization failure is reported,
-    not patched. A non-finite mat raises ValueError."""
-    a = mat + jitter * np.eye(mat.shape[0])
-    if not np.isfinite(a).all():
-        # dpotrf does not check its input; this is scipy's error for it
-        raise ValueError("array must not contain infs or NaNs")
-    c, info = dpotrf(a, lower=1, clean=0)
-    if info:
-        raise _cholesky_failed(info)
-    return c, True
-
-
-def _cholesky_failed(info: int) -> NumericalError:
-    """The error for a dpotrf that stopped at leading minor ``info``."""
-    return NumericalError(
-        "Cholesky factorization failed: "
-        f"{info}-th leading minor of the array is not positive definite"
-    )
-
-
-def _clamp_variances(var: np.ndarray) -> np.ndarray:
-    neg = var < 0
-    if neg.any():
-        if neg.sum() > max(1, CLAMP_FAIL_FRACTION * var.size):
-            raise NumericalError(
-                f"{neg.sum()} of {var.size} predicted variances were negative"
-            )
-        var = np.where(neg, 0.0, var)
-    return var
-
-
-def _qr_r(A: np.ndarray) -> np.ndarray:
-    """R of a QR of the N x n matrix A, from LAPACK's dgeqrf with its
-    optimal workspace: upper triangular, min(N, n) x n, and in C order, so
-    that R^T is the Fortran-ordered operand dtrmm takes without a copy. A
-    non-finite A raises ValueError."""
-    if not np.isfinite(A).all():
-        # dgeqrf does not check its input; this is scipy's error for it
-        raise ValueError("array must not contain infs or NaNs")
-    rows, cols = A.shape
-    # a Householder QR has no failure mode; info reports only bad arguments
-    qr = dgeqrf(A, lwork=int(dgeqrf_lwork(rows, cols)[0]))[0]
-    return np.ascontiguousarray(np.triu(qr[: min(rows, cols)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +63,12 @@ class PriorTerms:
     @cached_property
     def factor(self) -> np.ndarray:
         """Transposed lower Cholesky factor of K + jitter I, the jitter scaled
-        by K's largest variance: a draw at X is mu + z @ factor."""
-        chol, _ = _chol(self.K, JITTER_SCALE * max(np.max(np.diag(self.K)), 1.0))
-        return np.tril(chol).T
+        by K's largest variance: a draw at X is mu + z @ factor. A non-finite
+        K raises ValueError and a failed factorization NumericalError."""
+        jitter = JITTER_SCALE * max(np.max(np.diag(self.K)), 1.0)
+        a = self.K + jitter * np.eye(self.K.shape[0])
+        require_finite(a)
+        return np.tril(cholesky(a)).T
 
     def query(self, Xq):
         """K(Xq, X), the prior mean and the prior marginal variance at Xq: K,
@@ -151,7 +98,7 @@ class PriorTerms:
         kept = last is not None and last[1][0] is Kqd
         if kept and last[2] is not None:
             return last[2]
-        out = _qr_r(Kqd), float(np.mean(var))
+        out = qr_r(Kqd), float(np.mean(var))
         if kept:
             last[2] = out
         return out

@@ -3,10 +3,14 @@
 Supports Poisson, Negative-Binomial, and Gaussian observation models behind a
 single interface: ``fit_lgcp``, ``laplace_predict`` and ``kl_lemma1`` serve
 all three, and for Gaussian observations the Laplace posterior is the exact
-GP posterior.
+GP posterior. Each reads the prior from a ``gp_gaussian.PriorTerms``.
 The Laplace posterior uses the numerically stable B = I + W^{1/2} K W^{1/2}
 parameterization, which is the Woodbury form of (K + W^-1)^-1 and remains
-valid as W -> 0.
+valid as W -> 0; B is factored and inputs are checked through ``_lapack``.
+Negative variances that ``laplace_predict`` predicts through cancellation
+are clamped to zero, and a clamp rate above 0.1% of queries raises
+NumericalError instead of being hidden; ``mean_latent_variance`` checks its
+mean instead.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from ._lapack import dpotrf, dpotrs, dtrmm, dtrtri
+from ._lapack import cholesky, dpotrs, dtrmm, dtrtri, require_finite
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import PriorTerms, _cholesky_failed, _clamp_variances
+from .gp_gaussian import PriorTerms
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
 
 __all__ = [
@@ -44,6 +48,7 @@ GH_NODES = 31
 # a mean posterior variance below zero by more than this share of the mean
 # prior variance is reported, not clamped
 VARIANCE_ROUNDOFF = 1e-10
+CLAMP_FAIL_FRACTION = 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +240,7 @@ class LatentPosterior:
     f_hat: np.ndarray
     W: np.ndarray
     alpha: np.ndarray = field(repr=False)  # K^-1 (f_hat - mu)
-    chol_B: tuple = field(repr=False)  # (lower Cholesky of I + W^1/2 K W^1/2, True)
+    chol_B: np.ndarray = field(repr=False)  # lower Cholesky of I + W^1/2 K W^1/2
     K: np.ndarray = field(repr=False)
     log_marginal: float = 0.0
     iterations: int = 0
@@ -259,7 +264,7 @@ class LatentPosterior:
         B's entries as dpotrf left them, and dtrmm does not read it.
         """
         # L's diagonal is at least 1, so dtrtri cannot report a singular factor
-        M = dtrtri(self.chol_B[0], lower=1)[0]
+        M = dtrtri(self.chol_B, lower=1)[0]
         M *= np.sqrt(self.W)[None, :]
         return M
 
@@ -282,26 +287,22 @@ def _factor_B(K, sW, work=None):
     entries are sW_i K_ij sW_j with the products rounded in the order
     (K_ij sW_j) sW_i, so T^T, a Fortran-ordered view, holds
     (K_ji sW_i) sW_j: B in Fortran order, bit for bit, because K is exactly
-    symmetric. LAPACK's dpotrf factors that view in place (the routine
-    ``cho_factor`` calls, without its argument checks; the caller has
-    checked that K is finite). The strict upper triangle keeps B's entries,
-    as ``cho_factor`` leaves it.
+    symmetric. ``_lapack.cholesky`` factors that view in place; the caller
+    has checked that K is finite. The strict upper triangle keeps B's
+    entries, as ``cho_factor`` leaves it.
     """
     n = K.shape[0]
     T = np.multiply(K, sW[None, :], out=np.empty((n, n)) if work is None else work)
     T *= sW[:, None]
     T.reshape(-1)[:: n + 1] += 1.0  # the diagonal, through a view of C-contiguous T
-    c, info = dpotrf(T.T, lower=1, overwrite_a=1, clean=0)
-    if info:
-        raise _cholesky_failed(info)
-    return c
+    return cholesky(T.T, overwrite=True)
 
 
 def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
     """Newton MAP estimation with step-halving, then the Laplace posterior.
 
     Rasmussen & Williams (2006) Alg. 3.1 in the B = I + W^1/2 K W^1/2
-    parameterization. Each iteration factors B with LAPACK's dpotrf and
+    parameterization. Each iteration factors B with ``_lapack.cholesky`` and
     solves with dpotrs directly; K is checked to be finite once per fit (a
     non-finite K raises ValueError). The observation model's ``evaluator``
     gives one map f -> (log likelihood terms, gradient, W) per fit, with
@@ -337,9 +338,7 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
     prior = PriorTerms.at(model, X, prior)
     mu = prior.mu
     K = prior.K + model.jitter * np.eye(n)
-    if not np.isfinite(K).all():
-        # _factor_B does not check its input; this is scipy's error for it
-        raise ValueError("array must not contain infs or NaNs")
+    require_finite(K)  # once per fit: _factor_B does not check it
 
     # dual iterate: f = mu + K alpha is maintained exactly, so the
     # stationarity check grad_lik - alpha is free of K^-1 solve error
@@ -386,7 +385,7 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
                 # posterior, and the factor of B just used is the one at its
                 # W (a Gaussian W is the same at every f)
                 grad_max = float(np.abs(grad_lik - alpha).max())
-                chol_B = (chol, True)
+                chol_B = chol
                 converged = True
                 break
     if not converged:
@@ -394,8 +393,8 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
 
     if chol_B is None:
         # W is the Hessian at the final f, from the evaluation that accepted it
-        chol_B = (_factor_B(K, np.sqrt(W)), True)
-    log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B[0])))
+        chol_B = _factor_B(K, np.sqrt(W))
+    log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B)))
     # obj is the log posterior at (f, alpha), so this is the Laplace
     # approximation of the log marginal likelihood
     log_marginal = float(obj - 0.5 * log_det_B)
@@ -426,13 +425,23 @@ def laplace_predict(post: LatentPosterior, query):
     Xq = np.atleast_2d(np.asarray(query, dtype=float))
     Kqd, prior_mean, prior_var = post.prior.query(Xq)
     cross = Kqd @ post.alpha
-    if not np.all(np.isfinite(cross)):
-        # alpha is finite, so Kqd is not; dtrmm does not check its input,
-        # and this is scipy's error for it
-        raise ValueError("array must not contain infs or NaNs")
+    require_finite(cross)  # alpha is finite, so this checks Kqd for dtrmm
     (V,) = _whiten(post, Kqd.T)
     var = prior_var - np.einsum("ij,ij->j", V, V)
     return prior_mean + cross, _clamp_variances(var)
+
+
+def _clamp_variances(var: np.ndarray) -> np.ndarray:
+    """Predicted variances with the negatives that cancellation leaves set to
+    zero; more than ``CLAMP_FAIL_FRACTION`` of them raises NumericalError."""
+    neg = var < 0
+    if neg.any():
+        if neg.sum() > max(1, CLAMP_FAIL_FRACTION * var.size):
+            raise NumericalError(
+                f"{neg.sum()} of {var.size} predicted variances were negative"
+            )
+        var = np.where(neg, 0.0, var)
+    return var
 
 
 def mean_latent_variance(post: LatentPosterior, query) -> float:

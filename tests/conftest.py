@@ -91,7 +91,7 @@ def whitened_inverse(K, W):
     """(K + W^-1)^-1 as M^T M, M = L^-1 W^1/2 the whitener that every fit and
     prediction applies, L the lower Cholesky factor of B = I + W^1/2 K W^1/2
     from ``_factor_B``. dtrtri leaves B's entries above M's diagonal."""
-    chol_B = (_factor_B(K, np.sqrt(W)), True)
+    chol_B = _factor_B(K, np.sqrt(W))
     M = np.tril(LatentPosterior(None, None, None, W, None, chol_B, K)._whitener)
     return M.T @ M
 

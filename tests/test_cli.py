@@ -244,6 +244,15 @@ class TestDesignCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("generator", ["min_dran", "close_pair", "min_dist"])
+    def test_nonpositive_delta_usage_error(self, tmp_path, capsys, generator):
+        out = tmp_path / "out.csv"
+        code = main(["design", "--generator", generator, "--n", "5", "--delta", "-1",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delta must be positive\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["design", "--generator", "min_dran", "--n", "12", "--seed", "5"]
@@ -433,6 +442,15 @@ class TestSimstudy:
         cfg.write_text(SIMSTUDY_CONFIG + line)
         out = tmp_path / "o"
         assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_missing_mask_reads_as_design_command(self, tmp_path, capsys):
+        mask = tmp_path / "absent.mask"
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SIMSTUDY_CONFIG + f"mask {mask}\n")
+        out = tmp_path / "o"
+        assert main(["simstudy", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: mask file not found: {mask}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("res", ["8 8", "5 5 4 7"])

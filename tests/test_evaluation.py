@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lgcp_design.evaluation as ev
+from lgcp_design import _lapack
 from lgcp_design import (
     GaussianObs,
     InclusionProbability,
@@ -364,10 +365,10 @@ class TestFailurePolicy:
         assert info.value.failure_reasons == {"a": {}, "b": {"stalled": 4}}
 
     def test_union_factor_failure_is_every_replicate_reason(self, pois_model, monkeypatch):
-        def singular(mat, jitter):
+        def singular(a, overwrite=False):
             raise NumericalError("singular prior")
 
-        monkeypatch.setattr(ev.gp_gaussian, "_chol", singular)
+        monkeypatch.setattr(ev.gp_gaussian, "cholesky", singular)
         point_sets = [halton(8).points, random_design(6, seed=1).points]
         reps, reasons = ev._replicates(
             pois_model, point_sets, ["kl"], None, 4, 1, lambda j, d: (j, 1, d)
@@ -376,11 +377,11 @@ class TestFailurePolicy:
         assert reasons == [{"singular prior": 4}, {"singular prior": 4}]
 
     def test_union_factor_failure_fails_every_cell(self, pois_model, grid, monkeypatch):
-        def singular(mat, jitter):
+        def singular(a, overwrite=False):
             raise NumericalError("forced")
 
-        # only sample_prior factors through gp_gaussian's _chol on this path
-        monkeypatch.setattr(ev.gp_gaussian, "_chol", singular)
+        # only sample_prior factors through gp_gaussian's cholesky on this path
+        monkeypatch.setattr(ev.gp_gaussian, "cholesky", singular)
         with pytest.raises(NumericalError, match="^4 of 4 replicates failed to converge$"):
             expected_apv(pois_model, halton(8), grid, 4, seed=1, target="latent")
         designs = {"a": halton(8), "b": random_design(6, seed=1), "c": halton(5, offset=8)}
@@ -797,13 +798,13 @@ class TestDataIndependentWork:
                                        "compare_designs", "intensity"])
     def test_qr_calls_independent_of_m(self, entry, pois_model, gauss_model, grid,
                                        monkeypatch):
-        real, calls = ev.gp_gaussian.dgeqrf, []
+        real, calls = _lapack.dgeqrf, []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ev.gp_gaussian, "dgeqrf", counting)
+        monkeypatch.setattr(_lapack, "dgeqrf", counting)
         a, b = halton(10, offset=10), random_design(8, seed=2)
         run = {
             "expected_apv": lambda M: expected_apv(pois_model, a, grid, M, seed=3),

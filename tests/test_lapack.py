@@ -1,9 +1,17 @@
 """The library's LAPACK and BLAS routines are SciPy's own objects whichever
 of the library and ``scipy.linalg`` is imported first, and when the
 extension files cannot be found. Each case runs in a fresh interpreter,
-because this process imported ``scipy.linalg`` before the library."""
+because this process imported ``scipy.linalg`` before the library. The
+checked calls built on those routines, ``require_finite``, ``cholesky`` and
+``qr_r``, raise scipy.linalg's messages."""
 
+import numpy as np
+import pytest
+import scipy.linalg
 from conftest import LAPACK_INSTANCE, run_python
+
+from lgcp_design import _lapack
+from lgcp_design.exceptions import NumericalError
 
 ROUTINES = "('dpotrf', 'dpotrs', 'dtrtri', 'dgeqrf', 'dgeqrf_lwork', 'dtrmm')"
 SAME_OBJECTS = (
@@ -48,3 +56,67 @@ def test_fallback_when_extension_files_are_not_found():
         "-W", "error",
     )
     assert out.split() == ["True", "True"]
+
+
+# ----------------------------------------------------------------------
+# the checked calls: scipy.linalg's messages for what the raw routines skip
+
+def _scipy_error(call, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_finite_raises_scipys_message(position, bad):
+    arrays = [np.ones((2, 2)), np.arange(3.0), np.eye(3)]
+    _lapack.require_finite(*arrays)
+    arrays[position][-1] = bad
+    message = _scipy_error(scipy.linalg.cho_factor, np.array([[bad]]))
+    with pytest.raises(ValueError) as info:
+        _lapack.require_finite(*arrays)
+    assert str(info.value) == message == "array must not contain infs or NaNs"
+
+
+def test_cholesky_failure_names_the_leading_minor():
+    a = np.diag([1.0, 2.0, -1.0, 3.0])
+    with pytest.raises(NumericalError) as info:
+        _lapack.cholesky(a)
+    scipy_text = _scipy_error(scipy.linalg.cho_factor, a, lower=True)
+    assert str(info.value) == f"Cholesky factorization failed: {scipy_text}"
+    assert str(info.value) == (
+        "Cholesky factorization failed: 3-th leading minor of the array is not positive definite")
+
+
+def test_cholesky_in_place_matches_a_copy():
+    rng = np.random.default_rng(0)
+    G = rng.normal(size=(30, 30))
+    a = G @ G.T + 30.0 * np.eye(30)
+    kept = a.copy()
+    expected = _lapack.cholesky(a)
+    assert np.array_equal(a, kept) and not np.shares_memory(expected, a)
+    F = np.asfortranarray(a)
+    c = _lapack.cholesky(F, overwrite=True)
+    assert np.shares_memory(c, F)
+    assert c.tobytes("F") == expected.tobytes("F")
+    assert expected.tobytes("F") == scipy.linalg.cho_factor(kept, lower=True)[0].tobytes("F")
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (5, 9), (6, 6), (1, 4)])
+def test_qr_r_is_the_r_of_a_qr(shape):
+    rng = np.random.default_rng(sum(shape))
+    A = rng.normal(size=shape)
+    R = _lapack.qr_r(A)
+    assert R.shape == (min(shape), shape[1])
+    assert R.flags.c_contiguous
+    assert np.array_equal(R, np.triu(R))
+    gram = A.T @ A
+    assert np.allclose(R.T @ R, gram, rtol=0.0, atol=1e-13 * np.abs(gram).max())
+
+
+def test_qr_r_rejects_non_finite_input():
+    A = np.ones((4, 3))
+    A[2, 1] = np.nan
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _lapack.qr_r(A)

@@ -33,7 +33,7 @@ from lgcp_design import (
     unit_cube,
 )
 from lgcp_design import lgcp
-from lgcp_design.gp_gaussian import PriorTerms, _chol, _clamp_variances
+from lgcp_design.gp_gaussian import PriorTerms
 from conftest import (
     dense_gaussian_posterior,
     gaussian_posterior_kl,
@@ -421,6 +421,15 @@ def _reference_objective(obs, y, f, mu, alpha):
         return float(np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha)
 
 
+def _reference_cho_factor(B):
+    """cho_factor(B, lower=True), a failed factorization raised as the
+    NumericalError that fit_lgcp documents, with scipy's own text."""
+    try:
+        return cho_factor(B, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Cholesky factorization failed: {exc}") from None
+
+
 def _reference_fit(model, design_points, y, prior=None):
     """fit_lgcp with scipy's checked Cholesky factor and solves, a fresh
     Fortran-ordered B per iteration and per posterior, the likelihood, its
@@ -458,7 +467,7 @@ def _reference_fit(model, design_points, y, prior=None):
             break
         sW = np.sqrt(W)
         B = np.eye(n) + sW[:, None] * K * sW[None, :]
-        chol_B = _chol(B, 0.0)
+        chol_B = _reference_cho_factor(B)
         b = W * (f - mu) + grad_lik
         a_new = b - sW * cho_solve(chol_B, sW * (K @ b))
         slack = 1e-9 * max(1.0, abs(obj))
@@ -483,8 +492,8 @@ def _reference_fit(model, design_points, y, prior=None):
     W = np.maximum(obs.hessian_diag(y, f), 0.0)
     sW = np.sqrt(W)
     B = np.eye(n) + sW[:, None] * K * sW[None, :]
-    chol_B = _chol(B, 0.0)
-    log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B[0])))
+    chol_B = _reference_cho_factor(B)[0]
+    log_det_B = 2.0 * np.sum(np.log(np.diag(chol_B)))
     log_marginal = float(
         np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha - 0.5 * log_det_B
     )
@@ -514,8 +523,8 @@ def _reference_predict(post, query):
     Kqd, prior_mean, prior_var, prior_cov = _prior_query(post, Xq)
     mean = prior_mean + Kqd @ post.alpha
     sW = np.sqrt(post.W)
-    V = solve_triangular(np.tril(post.chol_B[0]), sW[:, None] * Kqd.T, lower=True)
-    return mean, _clamp_variances(prior_var - np.sum(V * V, axis=0)), prior_cov - V.T @ V
+    V = solve_triangular(np.tril(post.chol_B), sW[:, None] * Kqd.T, lower=True)
+    return mean, lgcp._clamp_variances(prior_var - np.sum(V * V, axis=0)), prior_cov - V.T @ V
 
 
 def _posterior_cov(post, query):
@@ -584,8 +593,7 @@ def _assert_same_iterates(new_log, ref_log):
 def _assert_same_posterior(post, ref):
     for name in ("f_hat", "W", "alpha", "K"):
         assert np.array_equal(getattr(post, name), getattr(ref, name)), name
-    assert np.array_equal(post.chol_B[0], ref.chol_B[0])
-    assert post.chol_B[1] is True and ref.chol_B[1] is True
+    assert np.array_equal(post.chol_B, ref.chol_B)
     assert post.log_marginal == ref.log_marginal
     assert post.iterations == ref.iterations
     assert post.halvings == ref.halvings
@@ -877,8 +885,7 @@ class TestLikelihoodEvaluator:
         post = fit_lgcp(model, X, _replicate(model, X, 0))
         assert post.iterations == 1
         assert len(calls) == 1
-        chol = post.chol_B[0]
-        assert np.array_equal(chol, real(post.K, np.sqrt(post.W)))
+        assert np.array_equal(post.chol_B, real(post.K, np.sqrt(post.W)))
 
 
 class TestFactorWorkspace:
@@ -938,7 +945,7 @@ class TestPredictionOracle:
         K = model.cov_at(X) + model.jitter * np.eye(n)
         alpha = rng.normal(size=n)
         f = model.mean_at(X) + K @ alpha
-        chol_B = (lgcp._factor_B(K, np.sqrt(W)), True)
+        chol_B = lgcp._factor_B(K, np.sqrt(W))
         post = LatentPosterior(PriorTerms.at(model, X), np.zeros(n), f, W, alpha, chol_B, K)
         return post, rng.random((40, 3))
 
