@@ -4,8 +4,11 @@ Run with: python3 demos/04_two_stage_survey.py
 
 After a first survey wave is observed, the fitted posterior replaces the
 prior: follow-up designs are generated and evaluated against what is still
-unknown. The truncated inclusion probability caps the acceptance rate so
-the second wave does not pile onto already well-sampled hotspots.
+unknown. The follow-up is thinned by the truncated inclusion probability:
+the posterior's exp(mu + 2 sigma^2), scaled so its grid maximum is 1 and
+then capped at p_max = 0.5. Every site within a factor of two of the peak
+is accepted at the same rate, so the second wave spreads over the
+high-intensity region instead of piling onto its maximum.
 """
 
 import numpy as np

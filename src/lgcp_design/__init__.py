@@ -15,7 +15,7 @@ from .domain import (
     to_unit_cube,
     unit_cube,
 )
-from .kernels import CovStructure, KernelSpec, MeanFunction, cov_matrix, matern32, mean_eval, sqexp
+from .kernels import CovStructure, KernelSpec, MeanFunction, cov_matrix, mean_eval
 from .gp_gaussian import PriorTerms, sample_prior
 from .lgcp import (
     GaussianObs,

@@ -415,20 +415,33 @@ INCL_VARIANTS = Choices("inclusion-probability variant", "scaled_latent_mean",
                         "expected_intensity", "truncated_expected_intensity")
 
 
+def _intensity(mu, s2):
+    return np.exp(mu + 2.0 * s2)
+
+
+def _unit_mean(points):
+    return np.ones(len(points)), None
+
+
+# each variant's density g(mu, sigma^2); "constant" reads _unit_mean's mu
+_DENSITY = {"scaled_latent_mean": lambda mu, s2: mu, "expected_intensity": _intensity,
+            "truncated_expected_intensity": _intensity, "constant": lambda mu, s2: mu}
+
+
 @dataclass(frozen=True)
 class InclusionProbability:
-    """Per-location acceptance probability for rejection thinning.
-
-    Variants:
-      - "scaled_latent_mean": min-max normalized latent prior/posterior mean
-      - "expected_intensity": exp(mu + 2 sigma^2), scaled so the grid max is 1
-      - "truncated_expected_intensity": min(p_max, exp(mu + 2 sigma^2)) / grid max
-      - "constant": fixed probability (testing and degenerate thinning)
+    """Per-location acceptance probability for rejection thinning:
+    p = min(p_max, clip((g - lo) / normalizer, 0, 1)), a density g of the latent
+    mean mu and variance sigma^2 normalized over a grid, then capped.
+      - "scaled_latent_mean": g = mu, lo its grid minimum (min-max scaling)
+      - "expected_intensity": g = exp(mu + 2 sigma^2), lo = 0
+      - "truncated_expected_intensity": the same g, capped at p_max
+      - "constant": g = 1, so p = p_max (testing and degenerate thinning)
     """
 
     variant: str
     moments_fn: object = None  # points -> (latent mean, marginal variance)
-    p_max: float | None = None
+    p_max: float = 1.0
     lo: float = 0.0
     normalizer: float = 1.0
 
@@ -445,44 +458,31 @@ class InclusionProbability:
 
         ``model`` is a prior model or a posterior-conditioned one; mean and
         variance come from one ``model.moments_at`` call per evaluation.
+        Only "truncated_expected_intensity" reads ``p_max``.
         """
         cls.check(variant, p_max)
-        moments_fn = model.moments_at
-        mu, s2 = moments_fn(grid.cells)
+        g = _DENSITY[variant](*model.moments_at(grid.cells))
+        lo = 0.0
         if variant == "scaled_latent_mean":
-            lo, hi = float(np.min(mu)), float(np.max(mu))
-            if hi == lo:
+            lo = float(np.min(g))
+            if np.max(g) == lo:
                 raise DegenerateFieldError(
                     "latent mean is constant over the grid; min-max scaling undefined"
                 )
-            return cls(variant, moments_fn, None, lo, hi - lo)
-        normalizer = float(np.max(np.exp(mu + 2.0 * s2)))
-        if variant == "expected_intensity":
-            return cls(variant, moments_fn, None, 0.0, normalizer)
-        return cls(variant, moments_fn, float(p_max), 0.0, normalizer)
+        p_max = float(p_max) if variant == "truncated_expected_intensity" else 1.0
+        return cls(variant, model.moments_at, p_max, lo, float(np.max(g)) - lo)
 
     @classmethod
     def constant(cls, p: float) -> "InclusionProbability":
         if not 0.0 <= p <= 1.0:
             raise LgcpDesignError("constant probability must lie in [0, 1]")
-        return cls("constant", p_max=p)
+        return cls("constant", _unit_mean, p)
 
     def at(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.variant == "constant":
-            out = np.full(pts.shape[0], self.p_max)
-        else:
-            mu, s2 = self.moments_fn(pts)
-            if self.variant == "scaled_latent_mean":
-                out = np.clip((mu - self.lo) / self.normalizer, 0.0, 1.0)
-            else:
-                v = np.exp(mu + 2.0 * s2)
-                if self.variant == "truncated_expected_intensity":
-                    v = np.minimum(self.p_max, v)
-                out = np.clip(v / self.normalizer, 0.0, 1.0)
-        if np.asarray(points).ndim == 1:
-            return out[0]
-        return out
+        g = _DENSITY[self.variant](*self.moments_fn(pts))
+        out = np.minimum(self.p_max, np.clip((g - self.lo) / self.normalizer, 0.0, 1.0))
+        return out[0] if np.asarray(points).ndim == 1 else out
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +538,7 @@ def rejection_wrap(
         block, error = source.take(min(size, _BLOCK, max_attempts - start))
         if len(block):
             probs = incl.at(block)
-            keep = (accept_rng.random(len(block)) < probs) | (probs >= 1.0)
-            kept = np.flatnonzero(keep)[: n - len(accepted_idx)]
+            kept = np.flatnonzero(accept_rng.random(len(block)) < probs)[: n - len(accepted_idx)]
             accepted.append(block[kept])
             accepted_idx.extend((start + kept).tolist())
         if len(accepted_idx) == n:

@@ -18,8 +18,6 @@ __all__ = [
     "KernelSpec",
     "CovStructure",
     "MeanFunction",
-    "matern32",
-    "sqexp",
     "cov_matrix",
     "mean_eval",
     "JITTER_SCALE",
@@ -47,6 +45,8 @@ class KernelSpec:
             raise LgcpDesignError("lengthscale and variance must be positive and finite")
 
     def __call__(self, distance):
+        """The kernel at distances, computed in a float copy (the caller's
+        array is never written); a 0-d result becomes a scalar."""
         return _KERNEL_INTO[self.family](np.array(distance, dtype=float), self)[()]
 
 
@@ -83,8 +83,9 @@ def _check_distance(d: np.ndarray) -> None:
 
 
 def _matern32_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = None):
-    """Overwrite the float distances d with the Matern-3/2 kernel and return
-    d. ``buf``, d's shape, holds exp(-z); it is allocated when None."""
+    """Overwrite the float distances d with the Matern-3/2 kernel
+    sigma^2 (1 + z) exp(-z), z = sqrt(3) d / l, and return d. ``buf``, d's
+    shape, holds exp(-z); it is allocated when None."""
     _check_distance(d)
     buf = np.empty_like(d) if buf is None else buf
     np.multiply(_SQRT3, d, out=d)
@@ -99,7 +100,8 @@ def _matern32_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = Non
 
 def _sqexp_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = None):
     """Overwrite the float distances d with the squared-exponential kernel
-    and return d. It needs no scratch, so ``buf`` is ignored."""
+    sigma^2 exp(-d^2 / l^2) and return d. It needs no scratch, so ``buf`` is
+    ignored."""
     _check_distance(d)
     d /= spec.lengthscale
     d *= d
@@ -111,18 +113,6 @@ def _sqexp_into(d: np.ndarray, spec: KernelSpec, buf: np.ndarray | None = None):
 
 _KERNEL_INTO = {"matern32": _matern32_into, "sqexp": _sqexp_into}
 KERNEL_FAMILIES = Choices("kernel family", *_KERNEL_INTO)
-
-
-def matern32(distance, spec: KernelSpec):
-    """Matern nu=3/2 kernel: sigma^2 (1 + sqrt(3) d / l) exp(-sqrt(3) d / l)."""
-    # computed in a float copy, so the caller's array is never written; a
-    # 0-d result becomes a scalar
-    return _matern32_into(np.array(distance, dtype=float), spec)[()]
-
-
-def sqexp(distance, spec: KernelSpec):
-    """Squared-exponential kernel: sigma^2 exp(-d^2 / l^2)."""
-    return _sqexp_into(np.array(distance, dtype=float), spec)[()]
 
 
 def _as_points(p) -> np.ndarray:

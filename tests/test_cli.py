@@ -151,6 +151,18 @@ class TestDesignCommand:
         assert prov.exists()
         assert "random+rejection" in prov.read_text()
 
+    def test_truncated_rejection_design_completes(self, tmp_path):
+        # the paper's prior and default p_max: the truncated inclusion
+        # probability is capped after normalizing, so thinning accepts
+        out = tmp_path / "d.csv"
+        assert main([
+            "design", "--generator", "halton+rejection",
+            "--incl-variant", "truncated_expected_intensity", "--n", "20", "--out", str(out),
+        ]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "s1,s2,t"
+        assert len(lines) == 21
+
     def test_unknown_generator_usage_error(self, tmp_path):
         code = main([
             "design", "--generator", "nope", "--n", "5",

@@ -295,6 +295,48 @@ class TestInclusionProbability:
         # truncation flattens the peak: many cells sit at the common maximum
         assert (np.isclose(p, p.max())).sum() > 1
 
+    def test_truncated_cap_binds_on_part_of_grid(self, poisson_model_fixture):
+        # the paper's prior on the CLI's default grid: the cap applies after
+        # normalizing, so it binds at the mean's peak and nowhere else
+        grid = discretize(unit_cube(), (10, 10, 8))
+        incl = InclusionProbability.build(
+            "truncated_expected_intensity", poisson_model_fixture, grid, p_max=0.5
+        )
+        p = incl.at(grid.cells)
+        mu, s2 = poisson_model_fixture.moments_at(grid.cells)
+        g = np.exp(mu + 2.0 * s2)
+        assert p.max() == 0.5
+        assert 0 < np.sum(p == 0.5) < grid.N
+        assert p.min() < 0.01
+        assert np.array_equal(p, np.minimum(0.5, g / g.max()))
+
+    @pytest.mark.parametrize("variant", ["scaled_latent_mean", "expected_intensity",
+                                         "truncated_expected_intensity", "constant"])
+    def test_at_is_reference_formula(self, variant, poisson_model_fixture):
+        """On the grid and off it (where the clip binds), ``at`` has the bits
+        of each variant's own formula; all but the truncated one are the
+        formulas of the per-variant branches it replaced."""
+        grid = discretize(unit_cube(), (6, 6, 6))
+        off = np.random.default_rng(5).uniform(-0.2, 1.2, (200, 3))
+        mu, s2 = poisson_model_fixture.moments_at(grid.cells)
+        g = np.exp(mu + 2.0 * s2)
+        reference = {
+            "scaled_latent_mean":
+                lambda m, v: np.clip((m - mu.min()) / (mu.max() - mu.min()), 0.0, 1.0),
+            "expected_intensity":
+                lambda m, v: np.clip(np.exp(m + 2.0 * v) / g.max(), 0.0, 1.0),
+            "truncated_expected_intensity":
+                lambda m, v: np.minimum(0.3, np.clip(np.exp(m + 2.0 * v) / g.max(), 0.0, 1.0)),
+            "constant": lambda m, v: np.full(len(m), 0.3),
+        }[variant]
+        if variant == "constant":
+            incl = InclusionProbability.constant(0.3)
+        else:
+            incl = InclusionProbability.build(variant, poisson_model_fixture, grid, p_max=0.3)
+        for pts in (grid.cells, off):
+            assert np.array_equal(incl.at(pts), reference(*poisson_model_fixture.moments_at(pts)))
+        assert incl.at(off[0]) == reference(*poisson_model_fixture.moments_at(off[:1]))[0]
+
     def test_truncated_needs_pmax(self, poisson_model_fixture):
         grid = discretize(unit_cube(), (4, 4, 4))
         with pytest.raises(LgcpDesignError):
