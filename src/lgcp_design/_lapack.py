@@ -2,7 +2,9 @@
 loaded without the ``scipy.linalg`` package, and the one copy of each input
 check and factorization error around them. ``require_finite`` is scipy's
 non-finite check, which the raw routines skip; ``cholesky`` (dpotrf) and
-``qr_r`` (dgeqrf) are the checked factorizations.
+``qr_r`` (dgeqrf) are the checked factorizations, and ``tril_inverse``
+inverts a lower-triangular factor by halves, with dtrtri on blocks below
+``TRTRI_BLOCK_ROWS`` rows and dtrmm joining them.
 
 ``dpotrf``, ``dpotrs``, ``dtrtri``, ``dgeqrf`` and ``dgeqrf_lwork`` live in
 the extension module ``scipy.linalg._flapack``, and ``dtrmm`` in
@@ -29,7 +31,11 @@ import numpy as np
 from .exceptions import NumericalError
 
 __all__ = ["cholesky", "dgeqrf", "dgeqrf_lwork", "dpotrf", "dpotrs", "dtrmm", "dtrtri",
-           "qr_r", "require_finite"]
+           "qr_r", "require_finite", "tril_inverse"]
+
+# tril_inverse splits a factor of at least this many rows; below it one
+# dtrtri call is faster (OpenBLAS, one thread, 2-CPU x86-64 VM)
+TRTRI_BLOCK_ROWS = 64
 
 
 def _extension(name: str):
@@ -96,3 +102,41 @@ def qr_r(A):
     # a Householder QR has no failure mode; info reports only bad arguments
     qr = dgeqrf(A, lwork=int(dgeqrf_lwork(rows, cols)[0]))[0]
     return np.ascontiguousarray(np.triu(qr[: min(rows, cols)]))
+
+
+def tril_inverse(L):
+    """The inverse of the lower triangle of the n x n factor L, as a new
+    Fortran-ordered array; L is not written. Below ``TRTRI_BLOCK_ROWS`` rows
+    it is one dtrtri call. Above, L is halved, [[A, 0], [C, D]]^-1 =
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]] (the recursive block method of Higham
+    2002, sec. 14.2): the diagonal blocks are inverted the same way and two
+    dtrmm calls form -D^-1 (C A^-1), each block written once into one zeroed
+    array. The flop count is dtrtri's n^3/3, but dtrmm runs at
+    matrix-multiply speed where OpenBLAS's dtrtri does not: at n = 150 this
+    takes about 90 us against 170 us (one thread, 2-CPU x86-64 VM). Only
+    the lower triangle is the inverse: the strict upper triangle is zero
+    except inside the blocks dtrtri inverted, where it keeps L's entries.
+    L is not checked for infs, NaNs or a zero diagonal."""
+    n = L.shape[0]
+    if n < TRTRI_BLOCK_ROWS:
+        return dtrtri(L, lower=1)[0]
+    out = np.zeros((n, n), order="F")
+    _tril_inverse_into(L, out)
+    return out
+
+
+def _tril_inverse_into(L, out):
+    """Write the inverse of L's lower triangle into out, a view of
+    ``tril_inverse``'s array, and return it for the caller's dtrmm: below
+    ``TRTRI_BLOCK_ROWS`` rows as dtrtri's own contiguous result, which
+    dtrmm reads without a copy, else as out."""
+    n = L.shape[0]
+    if n < TRTRI_BLOCK_ROWS:
+        out[...] = inverse = dtrtri(L, lower=1)[0]
+        return inverse
+    h = n // 2
+    A = _tril_inverse_into(L[:h, :h], out[:h, :h])
+    D = _tril_inverse_into(L[h:, h:], out[h:, h:])
+    CA = dtrmm(1.0, A, L[h:, :h], side=1, lower=1)
+    out[h:, :h] = dtrmm(-1.0, D, CA, lower=1, overwrite_b=1)
+    return out

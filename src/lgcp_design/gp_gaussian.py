@@ -32,7 +32,9 @@ __all__ = [
 class PriorTerms:
     """The terms of the GP prior at points X that no data set changes: K
     (without jitter) and mu, and, built on first use, the prior variance at
-    X, the draw factor, the terms of a prediction at other points
+    X, the draw factor, the jittered K that every fit reads
+    (``jittered_K``), the factor of B at the Newton start of the last fit
+    (``start_factor``), the terms of a prediction at other points
     (Rasmussen & Williams 2006, Alg. 3.2) and those of a mean posterior
     variance over them. One per point set, passed as ``prior=``, serves
     every fit and draw on it and the predictions of their posteriors.
@@ -44,6 +46,8 @@ class PriorTerms:
     mu: np.ndarray = field(repr=False)
     # [Xq, query(Xq), query_qr(Xq) or None until first asked for]
     _last_query: list | None = field(default=None, init=False, repr=False)
+    # (bytes of W^1/2, factor of B) at the last fit's Newton start
+    _start: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def at(cls, model, points, terms=None):
@@ -70,6 +74,35 @@ class PriorTerms:
         require_finite(a)
         return np.tril(cholesky(a)).T
 
+    @cached_property
+    def jittered_K(self) -> np.ndarray:
+        """K + jitter I with the model's jitter: the prior covariance of every
+        fit on these points and of its posterior, read-only because they all
+        share it. A non-finite K raises ValueError here, at the first fit,
+        since the factorizations of a fit do not check it."""
+        K = self.K + self.model.jitter * np.eye(self.K.shape[0])
+        require_finite(K)
+        K.flags.writeable = False
+        return K
+
+    def start_factor(self, sW, factor_B):
+        """``factor_B(jittered_K, sW)``, the lower Cholesky factor of
+        B = I + W^1/2 K W^1/2 at a Newton start, kept with the bytes of sW
+        and returned again, the same read-only array, while the next start
+        brings the same bytes. Every fit starts at f = mu, where a Poisson
+        W = exp(mu) or a Gaussian 1/sigma^2 does not depend on the data, so
+        all fits on these points share one factor; a Negative-Binomial W
+        there does, and each of its fits builds and keeps a new one."""
+        key = sW.tobytes()
+        kept = self._start
+        if kept is None or kept[0] != key:
+            kept = (key, factor_B(self.jittered_K, sW))
+            kept[1].flags.writeable = False
+            # a cache, set as one tuple so that threads sharing these terms
+            # never pair one start's key with another's factor
+            object.__setattr__(self, "_start", kept)
+        return kept[1]
+
     def query(self, Xq):
         """K(Xq, X), the prior mean and the prior marginal variance at Xq: K,
         mu and var at X itself. The terms of the last other query set are
@@ -81,7 +114,7 @@ class PriorTerms:
         if last is None or not np.array_equal(last[0], Xq):
             mean, var = self.model.moments_at(Xq)
             last = [Xq.copy(), (self.model.cov_at(Xq, self.X), mean, var), None]
-            # a cache: the one attribute set after construction
+            # a cache, set after construction as _start is
             object.__setattr__(self, "_last_query", last)
         return last[1]
 

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from ._lapack import cholesky, dpotrs, dtrmm, dtrtri, require_finite
+from ._lapack import cholesky, dpotrs, dtrmm, require_finite, tril_inverse
 from .exceptions import LgcpDesignError, NumericalError
 from .gp_gaussian import PriorTerms
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
@@ -72,6 +72,32 @@ def _log_gamma(x):
     return np.fromiter(map(_lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
 
 
+# log k! = _log_gamma(k + 1.0) for k below the table's length: empty at
+# import, grown by _log_factorial when a count first needs it
+_log_factorials = np.empty(0)
+LOG_FACTORIAL_TABLE_MAX = 1 << 17
+
+
+def _log_factorial(y):
+    """log y! elementwise, bit for bit ``_log_gamma(y + 1.0)``. When every
+    entry of y is an exact integer in [0, LOG_FACTORIAL_TABLE_MAX), it is
+    read from a table of those same math.lgamma values, which grows to the
+    next power of two above the largest count; any other y (empty, negative,
+    not exactly integral, huge or NaN) takes ``_log_gamma``."""
+    global _log_factorials
+    y = np.asarray(y, dtype=float)
+    if y.size and 0.0 <= y.min() and y.max() < LOG_FACTORIAL_TABLE_MAX:
+        k = y.astype(np.intp)
+        if np.array_equal(k, y):
+            table, top = _log_factorials, int(k.max())
+            if top >= table.size:
+                # a new array, so a thread holding the old one reads it intact
+                grown = _log_gamma(np.arange(table.size, 1 << top.bit_length()) + 1.0)
+                table = _log_factorials = np.concatenate([table, grown])
+            return table[k]
+    return _log_gamma(y + 1.0)
+
+
 class _Likelihood:
     """The log likelihood terms, gradient and W of an observation model,
     each from its ``evaluator(y)``; data must be counts unless the model
@@ -98,7 +124,7 @@ class Poisson(_Likelihood):
     def evaluator(self, y):
         """The per-fit map f -> (log likelihood terms, gradient, W) at counts
         y, with log y! formed once and exp(f) shared by the three terms."""
-        log_y_fact = _log_gamma(y + 1.0)
+        log_y_fact = _log_factorial(y)
 
         def evaluate(f):
             rate = np.exp(f)
@@ -135,7 +161,7 @@ class NegativeBinomial(_Likelihood):
         f may carry more columns than y (kl_lemma1's quadrature nodes)."""
         r = self.r
         y_r = y + r
-        const = _log_gamma(y_r) - _log_gamma(r) - _log_gamma(y + 1.0) + r * np.log(r)
+        const = _log_gamma(y_r) - _log_gamma(r) - _log_factorial(y) + r * np.log(r)
         volumes = np.asarray(self.volumes)
         if volumes.ndim:
             volumes = volumes.reshape(np.shape(y))
@@ -240,8 +266,10 @@ class LatentPosterior:
     f_hat: np.ndarray
     W: np.ndarray
     alpha: np.ndarray = field(repr=False)  # K^-1 (f_hat - mu)
-    chol_B: np.ndarray = field(repr=False)  # lower Cholesky of I + W^1/2 K W^1/2
-    K: np.ndarray = field(repr=False)
+    # lower Cholesky of I + W^1/2 K W^1/2; a Gaussian fit's is the read-only
+    # start factor its PriorTerms keeps
+    chol_B: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)  # K + jitter I: PriorTerms.jittered_K, read-only
     log_marginal: float = 0.0
     iterations: int = 0
     halvings: int = 0  # line-search step halvings over all iterations
@@ -260,11 +288,15 @@ class LatentPosterior:
         """M = L^-1 W^1/2, L the lower Cholesky factor of B, formed on first
         use and kept, so that every prediction from this posterior shares it.
 
-        dtrtri reads only L's lower triangle; M's strict upper triangle holds
-        B's entries as dpotrf left them, and dtrmm does not read it.
+        L^-1 is ``_lapack.tril_inverse``'s, which reads only L's lower
+        triangle and does not write L, a factor this posterior may share
+        with its ``PriorTerms``. From 64 rows it inverts by halves, about
+        twice as fast as one dtrtri call at n = 150. M's strict upper
+        triangle is zero outside the diagonal blocks of that inverse, which
+        keep B's entries as dpotrf left them; dtrmm does not read it.
         """
-        # L's diagonal is at least 1, so dtrtri cannot report a singular factor
-        M = dtrtri(self.chol_B, lower=1)[0]
+        # L's diagonal is at least 1, so no block of it is singular
+        M = tril_inverse(self.chol_B)
         M *= np.sqrt(self.W)[None, :]
         return M
 
@@ -272,11 +304,12 @@ class LatentPosterior:
 def _log_posterior(evaluate, f, mu, alpha):
     """The log posterior at (f, alpha) up to the constant -0.5 log|2 pi K|,
     with the likelihood's gradient and W at f, from one call of the
-    observation model's ``evaluate``. Trial steps can overflow exp(f), which
-    yields -inf and is rejected by the line search; the caller ignores the
-    overflow warning."""
+    observation model's ``evaluate``, and the f - mu it formed. Trial steps
+    can overflow exp(f), which yields -inf and is rejected by the line
+    search; the caller ignores the overflow warning."""
     terms, grad_lik, W = evaluate(f)
-    return float(terms.sum() - 0.5 * (f - mu) @ alpha), grad_lik, W
+    f_mu = f - mu
+    return float(terms.sum() - 0.5 * f_mu @ alpha), grad_lik, W, f_mu
 
 
 def _factor_B(K, sW, work=None):
@@ -303,25 +336,32 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
 
     Rasmussen & Williams (2006) Alg. 3.1 in the B = I + W^1/2 K W^1/2
     parameterization. Each iteration factors B with ``_lapack.cholesky`` and
-    solves with dpotrs directly; K is checked to be finite once per fit (a
-    non-finite K raises ValueError). The observation model's ``evaluator``
-    gives one map f -> (log likelihood terms, gradient, W) per fit, with
-    its terms free of f formed once; each trial point of the line search is
-    evaluated by one call of it, and the accepted trial's gradient and W
-    serve the next iteration. Every iteration writes B into one n x n
-    workspace of the fit, built in C order as the transpose of B, which
-    equals B because K is symmetric (see ``_factor_B``); the posterior's
-    factor gets an array of its own. The line search keeps the step,
-    iterate, objective, gradient and W of the trial it accepts; only when
-    all ``LINE_SEARCH_HALVINGS`` tried steps fail is the next halved step
-    taken without a test. Converges when the gradient of the exact log
-    posterior has max-norm below 1e-8; non-convergence raises
-    NumericalError. A Gaussian likelihood instead stops after the first full
-    Newton step the line search accepts: W = 1/sigma^2 does not depend on f,
-    so the log posterior is quadratic and that step lands on its exact mode
-    (Alg. 3.1 and sec. 3.4), while the roundoff of further iterates exceeds
-    the tolerance once sigma^2 is small; that iteration's factor of B is
-    the posterior's. The posterior records the iteration count, the total
+    solves with dpotrs directly. K + jitter I is the ``PriorTerms``'
+    ``jittered_K``, checked to be finite once per point set (a non-finite K
+    raises ValueError at the first fit) and shared, read-only, by every fit
+    and posterior on it. Every fit starts at f = mu, and the factor of B
+    there is ``PriorTerms.start_factor``, reused while the start W^1/2 has
+    the same bytes: a Poisson or Gaussian start W does not depend on the
+    data, so only the first fit on a point set builds it, and a
+    Negative-Binomial fit builds its own. The observation model's
+    ``evaluator`` gives one map f -> (log likelihood terms, gradient, W)
+    per fit, with its terms free of f formed once; each trial point of the
+    line search is evaluated by one call of it, and the accepted trial's
+    gradient, W and f - mu serve the next iteration. Every later iteration
+    writes B into one n x n workspace of the fit, built in C order as the
+    transpose of B, which equals B because K is symmetric (see
+    ``_factor_B``); the posterior's factor gets an array of its own. The
+    line search keeps the step, iterate, objective, gradient and W of the
+    trial it accepts; only when all ``LINE_SEARCH_HALVINGS`` tried steps
+    fail is the next halved step taken without a test. Converges when the
+    gradient of the exact log posterior has max-norm below 1e-8;
+    non-convergence raises NumericalError. A Gaussian likelihood instead
+    stops after the first full Newton step the line search accepts: W =
+    1/sigma^2 does not depend on f, so the log posterior is quadratic and
+    that step lands on its exact mode (Alg. 3.1 and sec. 3.4), while the
+    roundoff of further iterates exceeds the tolerance once sigma^2 is
+    small; that iteration's factor of B, the shared start factor, is the
+    posterior's. The posterior records the iteration count, the total
     number of step halvings and the gradient max-norm at the returned
     iterate. ``prior`` is the design points' ``PriorTerms``, built here when
     omitted; the posterior carries it.
@@ -337,8 +377,7 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
 
     prior = PriorTerms.at(model, X, prior)
     mu = prior.mu
-    K = prior.K + model.jitter * np.eye(n)
-    require_finite(K)  # once per fit: _factor_B does not check it
+    K = prior.jittered_K
 
     # dual iterate: f = mu + K alpha is maintained exactly, so the
     # stationarity check grad_lik - alpha is free of K^-1 solve error
@@ -351,7 +390,7 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
     converged = False
     it = 0
     with np.errstate(over="ignore"):
-        obj, grad_lik, W = _log_posterior(evaluate, f, mu, alpha)
+        obj, grad_lik, W, f_mu = _log_posterior(evaluate, f, mu, alpha)
         for it in range(1, NEWTON_MAX_ITER + 1):
             # W, the likelihood's negative Hessian at f, is nonnegative in
             # every observation model, so it needs no clamp
@@ -362,24 +401,25 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
                 converged = True
                 break
             sW = np.sqrt(W)
-            chol = _factor_B(K, sW, work)
-            b = W * (f - mu) + grad_lik
+            chol = prior.start_factor(sW, _factor_B) if it == 1 else _factor_B(K, sW, work)
+            b = W * f_mu + grad_lik
             a_new = b - sW * dpotrs(chol, sW * (K @ b), lower=1, overwrite_b=1)[0]
             # step-halving line search on the exact log posterior; the slack
             # keeps roundoff noise in the objective from rejecting full Newton
             # steps near the optimum. Steps 1 to 2^-(H-1) are tested; when all
             # fail, step 2^-H is taken untested.
             slack = 1e-9 * max(1.0, abs(obj))
+            direction = a_new - alpha
             step = 1.0
             for k in range(LINE_SEARCH_HALVINGS + 1):
-                alpha_try = alpha + step * (a_new - alpha)
+                alpha_try = alpha + step * direction
                 f_try = mu + K @ alpha_try
-                obj_try, grad_try, W_try = _log_posterior(evaluate, f_try, mu, alpha_try)
+                obj_try, grad_try, W_try, f_mu_try = _log_posterior(evaluate, f_try, mu, alpha_try)
                 if obj_try >= obj - slack or k == LINE_SEARCH_HALVINGS:
                     break
                 step *= 0.5
                 halvings += 1
-            alpha, f, obj, grad_lik, W = alpha_try, f_try, obj_try, grad_try, W_try
+            alpha, f, obj, grad_lik, W, f_mu = alpha_try, f_try, obj_try, grad_try, W_try, f_mu_try
             if quadratic and k == 0:
                 # the full step lands on the mode of a quadratic log
                 # posterior, and the factor of B just used is the one at its
@@ -408,11 +448,13 @@ def _whiten(post, *cross):
     factor of B = I + W^1/2 K W^1/2, so that (K + W^-1)^-1 = W^1/2 B^-1 W^1/2
     gives X^T (K + W^-1)^-1 Y as the product of two of them.
 
-    M = L^-1 W^1/2 is formed once per posterior with dtrtri (n^3/6 flops) and
-    applied to each X with dtrmm, which runs at matrix-multiply speed where a
-    triangular solve does not. The explicit inverse is safe: B >= I, so every
-    singular value of L is at least 1 and ||L^-1||_2 <= 1 (Higham 2002, ch. 8
-    and 14). Inputs are not checked for infs or NaNs.
+    M = L^-1 W^1/2 is formed once per posterior with ``_lapack.tril_inverse``
+    (n^3/3 flops, by halves from 64 rows, so that most of them run in dtrmm)
+    and applied to each X with dtrmm, which runs at matrix-multiply speed
+    where a triangular solve does not and reads only M's lower triangle.
+    The explicit inverse is safe: B >= I, so every singular value of L is
+    at least 1 and ||L^-1||_2 <= 1 (Higham 2002, ch. 8 and 14). Inputs are
+    not checked for infs or NaNs.
     """
     return [dtrmm(1.0, post._whitener, X, lower=1) for X in cross]
 

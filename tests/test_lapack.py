@@ -3,7 +3,8 @@ of the library and ``scipy.linalg`` is imported first, and when the
 extension files cannot be found. Each case runs in a fresh interpreter,
 because this process imported ``scipy.linalg`` before the library. The
 checked calls built on those routines, ``require_finite``, ``cholesky`` and
-``qr_r``, raise scipy.linalg's messages."""
+``qr_r``, raise scipy.linalg's messages, and ``tril_inverse`` agrees with
+one dtrtri call."""
 
 import numpy as np
 import pytest
@@ -120,3 +121,36 @@ def test_qr_r_rejects_non_finite_input():
     A[2, 1] = np.nan
     with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
         _lapack.qr_r(A)
+
+
+# ----------------------------------------------------------------------
+# tril_inverse: one dtrtri call below TRTRI_BLOCK_ROWS rows, by halves above
+
+def _b_factor(n):
+    """The lower Cholesky factor of B = I + G G^T / n as dpotrf leaves it:
+    Fortran-ordered, with B's entries in the strict upper triangle."""
+    G = np.random.default_rng(n).normal(size=(n, n))
+    return _lapack.cholesky(np.eye(n) + G @ G.T / n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150, 301])
+def test_tril_inverse_matches_dtrtri(n):
+    L = _b_factor(n)
+    kept = L.copy(order="F")
+    inverse = _lapack.tril_inverse(L)
+    reference = np.tril(_lapack.dtrtri(L, lower=1)[0])
+    assert np.array_equal(L, kept)
+    assert inverse.shape == (n, n) and inverse.flags.f_contiguous
+    lower = np.tril(inverse)
+    assert np.linalg.norm(lower - reference) <= 1e-14 * np.linalg.norm(reference)
+    assert np.abs(lower @ np.tril(L) - np.eye(n)).max() <= 1e-14 * n
+    if n < _lapack.TRTRI_BLOCK_ROWS:
+        assert np.array_equal(inverse, _lapack.dtrtri(L, lower=1)[0])
+    else:
+        # the block above the first split is zero
+        assert not inverse[: n // 2, n // 2:].any()
+
+
+@pytest.mark.parametrize("n", [3, 64, 150])
+def test_tril_inverse_of_identity_is_identity(n):
+    assert np.array_equal(_lapack.tril_inverse(np.eye(n, order="F")), np.eye(n))

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from conftest import (
     dense_gaussian_posterior,
     gaussian_posterior_kl,
     random_cov,
+    run_python,
     whitened_inverse,
 )
 
@@ -791,6 +793,62 @@ class TestLogGamma:
         assert lgcp._log_gamma(1e308) == np.inf
 
 
+class TestLogFactorial:
+    """lgcp._log_factorial reads integral counts from a table that grows on
+    first use, with the bits of _log_gamma(y + 1.0), and takes _log_gamma
+    for everything else."""
+
+    def test_table_matches_log_gamma_across_growth(self, monkeypatch):
+        monkeypatch.setattr(lgcp, "_log_factorials", np.empty(0))
+        small = np.arange(11.0)
+        assert _same_bits(lgcp._log_factorial(small), lgcp._log_gamma(small + 1.0))
+        assert lgcp._log_factorials.size == 16
+        grown_from = lgcp._log_factorials
+        y = np.arange(10.0**5 + 1)
+        assert _same_bits(lgcp._log_factorial(y), lgcp._log_gamma(y + 1.0))
+        assert lgcp._log_factorials.size == 1 << 17
+        # the grown table kept the first entries' bits and left the old array
+        assert _same_bits(lgcp._log_factorials[:16], grown_from)
+        assert _same_bits(lgcp._log_factorial(y[::-1]), lgcp._log_gamma(y[::-1] + 1.0))
+
+    def test_shapes_and_scalars(self, monkeypatch):
+        monkeypatch.setattr(lgcp, "_log_factorials", np.empty(0))
+        column = np.array([[0.0], [7.0], [3.0]])
+        assert _same_bits(lgcp._log_factorial(column), lgcp._log_gamma(column + 1.0))
+        assert type(lgcp._log_factorial(4.0)) is np.float64
+        assert _same_bits(lgcp._log_factorial(4.0), lgcp._log_gamma(5.0))
+        assert lgcp._log_factorial(np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("y", [
+        [3.0 + 1e-12, 2.0], [-1.0, 2.0], [np.nan, 1.0], [1e300, 1.0],
+        [float(lgcp.LOG_FACTORIAL_TABLE_MAX), 0.0],
+    ], ids=["near_integer", "negative", "nan", "huge", "table_max"])
+    def test_other_values_take_log_gamma(self, monkeypatch, y):
+        monkeypatch.setattr(lgcp, "_log_factorials", np.empty(0))
+        y = np.array(y)
+        with np.errstate(invalid="ignore"):
+            got = lgcp._log_factorial(y)
+        assert _same_bits(got, lgcp._log_gamma(y + 1.0))
+        assert lgcp._log_factorials.size == 0
+
+    def test_near_integer_count_is_a_count(self, monkeypatch):
+        # _require_counts accepts it, so a Poisson fit reaches the fallback
+        monkeypatch.setattr(lgcp, "_log_factorials", np.empty(0))
+        y = np.array([3.0 + 1e-12, 2.0, 0.0])
+        lgcp._require_counts(y)
+        f = np.array([0.5, -1.0, 2.0])
+        assert _same_bits(Poisson().loglik(y, f), _separate_terms(Poisson(), y, f)[0])
+        assert lgcp._log_factorials.size == 0
+
+    def test_import_builds_no_table(self):
+        out = run_python(
+            "import lgcp_design\n"
+            "from lgcp_design import lgcp\n"
+            "print(lgcp._log_factorials.size)\n"
+        )
+        assert out.split() == ["0"]
+
+
 _OBS_MODELS = pytest.mark.parametrize("obs", [
     Poisson(),
     NegativeBinomial(5.0, 1.0),
@@ -933,6 +991,133 @@ class TestFactorWorkspace:
         assert _same_bits(lgcp._factor_B(K, sW, np.empty((60, 60))), self._fortran_factor(K, sW))
 
 
+def _start_factor_log(monkeypatch):
+    """A list that gets one entry per PriorTerms.start_factor call: True
+    when the call returned the factor its terms already kept."""
+    log, real = [], PriorTerms.start_factor
+
+    def logged(self, sW, factor_B):
+        kept = self._start
+        chol = real(self, sW, factor_B)
+        log.append(kept is not None and chol is kept[1])
+        return chol
+
+    monkeypatch.setattr(PriorTerms, "start_factor", logged)
+    return log
+
+
+class TestStartFactor:
+    """Fits on one shared PriorTerms reuse the factor of B at the Newton
+    start when the start W does not depend on the data, and every posterior
+    field keeps the bits of a fit on fresh terms."""
+
+    @pytest.mark.parametrize("obs", [Poisson(), NegativeBinomial(2.0, 1.0), GaussianObs(0.5)],
+                             ids=["poisson", "negbin", "gaussian"])
+    def test_shared_terms_give_fresh_bits(self, monkeypatch, obs):
+        model = _paper_model(obs)
+        X = np.random.default_rng(50).random((40, 3))
+        shared = PriorTerms.at(model, X)
+        log = _start_factor_log(monkeypatch)
+        for j in range(4):
+            y = _replicate(model, X, j)
+            post = fit_lgcp(model, X, y, prior=shared)
+            fresh = fit_lgcp(model, X, y)
+            for name in ("f_hat", "alpha", "W", "chol_B", "log_marginal", "iterations",
+                         "halvings", "grad_max"):
+                assert _same_bits(getattr(post, name), getattr(fresh, name)), name
+        # the fits on fresh terms log the odd entries and never reuse
+        assert not any(log[1::2])
+        assert log[0::2] == [False] + [not isinstance(obs, NegativeBinomial)] * 3
+
+    def test_second_poisson_fit_factors_once_fewer(self, monkeypatch):
+        real, calls = lgcp.cholesky, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lgcp, "cholesky", counting)
+        model = _paper_model()
+        X = halton(150, domain=unit_cube()).points
+        prior = PriorTerms.at(model, X)
+        y = _replicate(model, X, 3)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            fit_lgcp(model, X, y, prior=prior)
+            counts.append(len(calls))
+        assert counts[1] == counts[0] - 1
+
+    def test_negative_binomial_fits_never_reuse(self, monkeypatch):
+        model = _paper_model(NegativeBinomial(2.0, 1.0))
+        X = np.random.default_rng(51).random((30, 3))
+        prior = PriorTerms.at(model, X)
+        log = _start_factor_log(monkeypatch)
+        ys, factors = [_replicate(model, X, j) for j in range(3)], []
+        for y in ys:
+            fit_lgcp(model, X, y, prior=prior)
+            factors.append(prior._start[1])
+        assert not np.array_equal(ys[0], ys[1]) and not np.array_equal(ys[1], ys[2])
+        assert log == [False, False, False]
+        assert len({id(c) for c in factors}) == 3
+        # a Negative-Binomial W at the start f = mu depends on the counts
+        assert len({model.obs.hessian_diag(y, prior.mu).tobytes() for y in ys}) == 3
+
+    def test_threads_sharing_terms_and_table(self, monkeypatch):
+        # threads race on one PriorTerms' start cache (a Negative-Binomial
+        # start misses it at every fit) and on the log-factorial table's growth
+        model = _paper_model(NegativeBinomial(2.0, 1.0))
+        X = np.random.default_rng(52).random((30, 3))
+        ys = [_replicate(model, X, j) * (1 + j % 3) for j in range(12)]
+        expected = [fit_lgcp(model, X, y) for y in ys]
+        monkeypatch.setattr(lgcp, "_log_factorials", np.empty(0))
+        prior = PriorTerms.at(model, X)
+        results = {}
+
+        def work(offset):
+            for j in range(offset, len(ys), 4):
+                results[j] = fit_lgcp(model, X, ys[j], prior=prior)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == list(range(len(ys)))
+        for j, want in enumerate(expected):
+            for name in ("f_hat", "alpha", "W", "chol_B", "log_marginal", "iterations"):
+                assert _same_bits(getattr(results[j], name), getattr(want, name)), (j, name)
+
+    def test_shared_arrays_are_never_written(self):
+        # a Gaussian posterior's factor is the start factor its terms keep
+        model = _paper_model(GaussianObs(0.5))
+        X = halton(80, domain=unit_cube()).points
+        prior = PriorTerms.at(model, X)
+        posts = [fit_lgcp(model, X, _replicate(model, X, j), prior=prior) for j in range(2)]
+        chol, K = prior._start[1], prior.jittered_K
+        assert all(p.chol_B is chol and p.K is K for p in posts)
+        kept = chol.copy(order="K"), K.copy()
+        query = halton(120, offset=80).points
+        for post in posts:
+            laplace_predict(post, query)
+            lgcp.mean_latent_variance(post, query)
+            kl_lemma1(post)
+            _posterior_cov(post, query)
+        fit_lgcp(model, X, _replicate(model, X, 5), prior=prior)
+        assert prior._start[1] is chol
+        assert _same_bits(chol, kept[0]) and _same_bits(K, kept[1])
+        for array in (chol, K):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
 class TestPredictionOracle:
     """laplace_predict and ConditionedModel.cov_at against the dense form
     K_qq - K_qD (K + diag(1/W))^-1 K_Dq, on posteriors built with a chosen W."""
@@ -967,13 +1152,13 @@ class TestPredictionOracle:
         assert np.all(np.abs(cov - cov.T) <= 1e-15 * np.outer(post_sd, post_sd))
 
     def test_whitener_formed_once_per_posterior(self, monkeypatch):
-        real, calls = lgcp.dtrtri, []
+        real, calls = lgcp.tril_inverse, []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lgcp, "dtrtri", counting)
+        monkeypatch.setattr(lgcp, "tril_inverse", counting)
         post, query = self._posterior(20, np.logspace(-2, 2, 20))
         mean, var = laplace_predict(post, query)
         _posterior_cov(post, query)
