@@ -16,13 +16,13 @@ from .domain import (
     unit_cube,
 )
 from .kernels import CovStructure, KernelSpec, MeanFunction, cov_matrix, mean_eval
-from .gp_gaussian import PriorTerms, sample_prior
 from .lgcp import (
     GaussianObs,
     LatentPosterior,
     Model,
     NegativeBinomial,
     Poisson,
+    PriorTerms,
     fit_lgcp,
     intensity_moments,
     kl_lemma1,
@@ -30,6 +30,7 @@ from .lgcp import (
     mean_latent_variance,
     sample_counts,
 )
+from .gp_gaussian import sample_prior
 from .designs import (
     Design,
     InclusionProbability,

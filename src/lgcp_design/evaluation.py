@@ -114,14 +114,14 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     union = point_sets[0] if len(point_sets) == 1 else np.vstack(point_sets)
     out = np.full((len(point_sets), len(criteria), M), np.nan)
     try:
-        draws = gp_gaussian.PriorTerms.at(model, union)
+        draws = lgcp.PriorTerms.at(model, union)
         draws.factor  # built here, so that its failure fails every replicate
     except NumericalError as exc:
         return out, [Counter({str(exc): M}) for _ in point_sets]
     priors = []
     for pts in point_sets:
         try:
-            priors.append(draws if pts is union else gp_gaussian.PriorTerms.at(model, pts))
+            priors.append(draws if pts is union else lgcp.PriorTerms.at(model, pts))
         except NumericalError as exc:
             priors.append(exc)
     reasons = [Counter() for _ in point_sets]
@@ -142,6 +142,17 @@ def _replicates(model, point_sets, criteria, grid, M, seed, count_key):
     return out, reasons
 
 
+def _check_request(criteria, grid, M):
+    """Raise LgcpDesignError for M < 2, an unknown criterion or an APV
+    criterion without a grid."""
+    if M < 2:
+        raise LgcpDesignError("M must be >= 2")
+    for c in criteria:
+        CRITERIA.check(c)
+    if grid is None and any(c != "kl" for c in criteria):
+        raise LgcpDesignError("the APV criteria need a grid")
+
+
 def estimate(model, design, criteria, grid, M: int, seed=0) -> list[UtilityEstimate]:
     """One ``UtilityEstimate`` per criterion, in order, over the same M
     prior-predictive data replicates. Each replicate is fitted once for every
@@ -150,15 +161,13 @@ def estimate(model, design, criteria, grid, M: int, seed=0) -> list[UtilityEstim
     An empty design takes the prior values, with no draw or fit. A Gaussian
     model's latent posterior variance does not depend on the data, so its
     latent APV comes from one fit, with standard error zero. ``grid`` may be
-    None for "kl" alone. An unknown criterion or M < 2 raises LgcpDesignError
-    before any draw or fit. When more than 5% of the replicates fail,
-    NumericalError is raised; its ``failure_reasons`` maps each message of
-    the failed replicates to its count.
+    None for "kl" alone. An unknown criterion, an APV criterion without a
+    grid or M < 2 raises LgcpDesignError before any draw or fit. When more
+    than 5% of the replicates fail, NumericalError is raised; its
+    ``failure_reasons`` maps each message of the failed replicates to its
+    count.
     """
-    if M < 2:
-        raise LgcpDesignError("M must be >= 2")
-    for c in criteria:
-        CRITERIA.check(c)
+    _check_request(criteria, grid, M)
     provenance = getattr(design, "provenance", {})
     points = _points(design)
     fixed = {}
@@ -287,20 +296,21 @@ def compare_designs(
     their randomness; counts are then drawn per design. ``base_of`` maps a
     design name to the name of its base variant; for those rows the percent
     reduction relative to the base is reported, computed over the replicates
-    where both the design and its base succeeded. A name in ``base_of`` that is
-    not in ``designs`` raises LgcpDesignError before any replicate runs. A
-    failed fit drops that replicate from every criterion of its design. When
-    more than 5% of all fits fail, NumericalError is raised; its
-    ``failure_reasons`` maps each design name to its failures' messages and
-    their counts.
+    where both the design and its base succeeded. No design, a name in
+    ``base_of`` that is not in ``designs``, or a request ``estimate`` rejects
+    raises LgcpDesignError before any replicate runs. A failed fit drops that
+    replicate from every criterion of its design. When more than 5% of all
+    fits fail, NumericalError is raised; its ``failure_reasons`` maps each
+    design name to its failures' messages and their counts.
 
     Returns a list of row dicts with keys design_name, criterion, estimate,
     std_error, M, n_failed (the design's failed replicates), failure_reasons
     (their NumericalError messages -> count), reduction_vs_base_pct,
     replicates.
     """
-    for c in criteria:
-        CRITERIA.check(c)
+    _check_request(criteria, grid, M)
+    if not designs:
+        raise LgcpDesignError("designs must name at least one design")
     names = list(designs)
     base_of = base_of or {}
     for name, base in base_of.items():

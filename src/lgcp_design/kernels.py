@@ -27,6 +27,7 @@ __all__ = [
 JITTER_SCALE = 1e-8
 
 COV_MODES = Choices("covariance mode", "separable", "additive")
+MEAN_KINDS = Choices("mean kind", "constant", "concave_quadratic_time", "tabulated")
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -173,10 +174,13 @@ class MeanFunction:
       - "tabulated": values given on the cells of a grid, exact-lookup only
     """
 
-    kind: str
+    kind: str  # one of MEAN_KINDS
     params: tuple = ()
     grid: object = None
     values: np.ndarray | None = None
+
+    def __post_init__(self):
+        MEAN_KINDS.check(self.kind)
 
     @classmethod
     def constant(cls, m: float) -> "MeanFunction":
@@ -231,10 +235,8 @@ def mean_eval(p, m: MeanFunction):
     elif m.kind == "concave_quadratic_time":
         a, b, c = m.params
         out = a - c * (arr[:, 2] - b) ** 2
-    elif m.kind == "tabulated":
+    else:  # "tabulated"
         out = m.values[_grid_rows(m.grid, arr)]
-    else:
-        raise LgcpDesignError(f"unknown mean kind {m.kind!r}")
     if np.asarray(p).ndim == 1:
         return float(out[0])
     return out

@@ -3,10 +3,12 @@
 Supports Poisson, Negative-Binomial, and Gaussian observation models behind a
 single interface: ``fit_lgcp``, ``laplace_predict`` and ``kl_lemma1`` serve
 all three, and for Gaussian observations the Laplace posterior is the exact
-GP posterior. Each reads the prior from a ``gp_gaussian.PriorTerms``.
-The Laplace posterior uses the numerically stable B = I + W^{1/2} K W^{1/2}
-parameterization, which is the Woodbury form of (K + W^-1)^-1 and remains
-valid as W -> 0; B is factored and inputs are checked through ``_lapack``.
+GP posterior. Each reads the prior from a ``PriorTerms``, defined here and
+the one owner of K + jitter I: prior draws (``gp_gaussian.sample_prior``)
+factor the same K + model.jitter I that fits read. The Laplace posterior
+uses the numerically stable B = I + W^{1/2} K W^{1/2} parameterization, the
+Woodbury form of (K + W^-1)^-1, valid as W -> 0; B is factored and inputs
+are checked through ``_lapack``.
 Negative variances that ``laplace_predict`` predicts through cancellation
 are clamped to zero, and a clamp rate above 0.1% of queries raises
 NumericalError instead of being hidden; ``mean_latent_variance`` checks its
@@ -22,9 +24,8 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from ._lapack import cholesky, dpotrs, dtrmm, require_finite, tril_inverse
+from ._lapack import cholesky, dpotrs, dtrmm, qr_r, require_finite, tril_inverse
 from .exceptions import LgcpDesignError, NumericalError
-from .gp_gaussian import PriorTerms
 from .kernels import JITTER_SCALE, CovStructure, MeanFunction, cov_matrix, mean_eval
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "NegativeBinomial",
     "GaussianObs",
     "Model",
+    "PriorTerms",
     "LatentPosterior",
     "fit_lgcp",
     "laplace_predict",
@@ -253,6 +255,111 @@ class Model:
         return JITTER_SCALE * self.cov.total_variance
 
 
+@dataclass(frozen=True, eq=False)
+class PriorTerms:
+    """The terms of the GP prior at points X that no data set changes: K
+    (without jitter) and mu, and, built on first use, the prior variance at
+    X, K + jitter I (``jittered_K``) and its Cholesky factor for draws
+    (``factor``), the factor of B at the Newton start of the last fit
+    (``start_factor``), the terms of a prediction at other points
+    (Rasmussen & Williams 2006, Alg. 3.2) and those of a mean posterior
+    variance over them. One per point set, passed as ``prior=``, serves
+    every fit and draw on it and the predictions of their posteriors.
+    """
+
+    model: object
+    X: np.ndarray
+    K: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    # [Xq, query(Xq), query_qr(Xq) or None until first asked for]
+    _last_query: list | None = field(default=None, init=False, repr=False)
+    # (bytes of W^1/2, factor of B) at the last fit's Newton start
+    _start: tuple | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def at(cls, model, points, terms=None):
+        """``terms``, checked to be built for this model object at these
+        points, or new terms when it is None."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        if terms is None:
+            return cls(model, X, model.cov_at(X), model.mean_at(X))
+        if terms.model is not model or not np.array_equal(terms.X, X):
+            raise LgcpDesignError("prior terms were built for another model or other points")
+        return terms
+
+    @cached_property
+    def var(self) -> np.ndarray:
+        return self.model.moments_at(self.X)[1]
+
+    @cached_property
+    def jittered_K(self) -> np.ndarray:
+        """K + jitter I with the model's jitter: the prior covariance of every
+        draw and fit on these points and of its posterior, read-only because
+        they all share it. A non-finite K raises ValueError here, at the
+        first draw or fit, since the factorizations do not check it."""
+        K = self.K + self.model.jitter * np.eye(self.K.shape[0])
+        require_finite(K)
+        K.flags.writeable = False
+        return K
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Transposed lower Cholesky factor of ``jittered_K``: a draw at X is
+        mu + z @ factor. A failed factorization raises NumericalError."""
+        return np.tril(cholesky(self.jittered_K)).T
+
+    def start_factor(self, sW):
+        """``_factor_B(jittered_K, sW)``, the lower Cholesky factor of
+        B = I + W^1/2 K W^1/2 at a Newton start, kept with the bytes of sW
+        and returned again, the same read-only array, while the next start
+        brings the same bytes. Every fit starts at f = mu, where a Poisson
+        W = exp(mu) or a Gaussian 1/sigma^2 does not depend on the data, so
+        all fits on these points share one factor; a Negative-Binomial W
+        there does, and each of its fits builds and keeps a new one."""
+        key = sW.tobytes()
+        kept = self._start
+        if kept is None or kept[0] != key:
+            kept = (key, _factor_B(self.jittered_K, sW))
+            kept[1].flags.writeable = False
+            # a cache, set as one tuple so that threads sharing these terms
+            # never pair one start's key with another's factor
+            object.__setattr__(self, "_start", kept)
+        return kept[1]
+
+    def query(self, Xq):
+        """K(Xq, X), the prior mean and the prior marginal variance at Xq: K,
+        mu and var at X itself. The terms of the last other query set are
+        kept, keyed on that set alone and compared by value.
+        """
+        if np.array_equal(Xq, self.X):
+            return self.K, self.mu, self.var
+        last = self._last_query
+        if last is None or not np.array_equal(last[0], Xq):
+            mean, var = self.model.moments_at(Xq)
+            last = [Xq.copy(), (self.model.cov_at(Xq, self.X), mean, var), None]
+            # a cache, set after construction as _start is
+            object.__setattr__(self, "_last_query", last)
+        return last[1]
+
+    def query_qr(self, Xq):
+        """R, upper triangular and min(N, n) x n, of a QR of K(Xq, X) for N
+        query points, and the mean prior variance over Xq. Q has orthonormal
+        columns, so ||A K(X, Xq)||_F = ||A R^T||_F for every A with n columns
+        (Golub & Van Loan 2013, sec. 2.3 and 5.2). Kept with the terms of the
+        last query set, so one QR serves every posterior on these points;
+        at X itself it is built on each call.
+        """
+        Kqd, _, var = self.query(Xq)
+        last = self._last_query
+        kept = last is not None and last[1][0] is Kqd
+        if kept and last[2] is not None:
+            return last[2]
+        out = qr_r(Kqd), float(np.mean(var))
+        if kept:
+            last[2] = out
+        return out
+
+
 # ----------------------------------------------------------------------
 # MAP estimation and Laplace posterior
 
@@ -269,7 +376,6 @@ class LatentPosterior:
     # lower Cholesky of I + W^1/2 K W^1/2; a Gaussian fit's is the read-only
     # start factor its PriorTerms keeps
     chol_B: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)  # K + jitter I: PriorTerms.jittered_K, read-only
     log_marginal: float = 0.0
     iterations: int = 0
     halvings: int = 0  # line-search step halvings over all iterations
@@ -282,6 +388,10 @@ class LatentPosterior:
     @property
     def design_points(self) -> np.ndarray:
         return self.prior.X
+
+    @property
+    def K(self) -> np.ndarray:  # K + jitter I, read-only
+        return self.prior.jittered_K
 
     @cached_property
     def _whitener(self):
@@ -337,13 +447,12 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
     Rasmussen & Williams (2006) Alg. 3.1 in the B = I + W^1/2 K W^1/2
     parameterization. Each iteration factors B with ``_lapack.cholesky`` and
     solves with dpotrs directly. K + jitter I is the ``PriorTerms``'
-    ``jittered_K``, checked to be finite once per point set (a non-finite K
-    raises ValueError at the first fit) and shared, read-only, by every fit
-    and posterior on it. Every fit starts at f = mu, and the factor of B
-    there is ``PriorTerms.start_factor``, reused while the start W^1/2 has
-    the same bytes: a Poisson or Gaussian start W does not depend on the
-    data, so only the first fit on a point set builds it, and a
-    Negative-Binomial fit builds its own. The observation model's
+    ``jittered_K``, shared read-only by every fit and posterior on its
+    points and factored for their draws. Every fit starts at f = mu, and
+    the factor of B there is ``PriorTerms.start_factor``, reused while the
+    start W^1/2 has the same bytes: a Poisson or Gaussian start W does not
+    depend on the data, so only the first fit on a point set builds it, and
+    a Negative-Binomial fit builds its own. The observation model's
     ``evaluator`` gives one map f -> (log likelihood terms, gradient, W)
     per fit, with its terms free of f formed once; each trial point of the
     line search is evaluated by one call of it, and the accepted trial's
@@ -401,7 +510,7 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
                 converged = True
                 break
             sW = np.sqrt(W)
-            chol = prior.start_factor(sW, _factor_B) if it == 1 else _factor_B(K, sW, work)
+            chol = prior.start_factor(sW) if it == 1 else _factor_B(K, sW, work)
             b = W * f_mu + grad_lik
             a_new = b - sW * dpotrs(chol, sW * (K @ b), lower=1, overwrite_b=1)[0]
             # step-halving line search on the exact log posterior; the slack
@@ -438,9 +547,7 @@ def fit_lgcp(model, design_points, y, prior=None) -> LatentPosterior:
     # obj is the log posterior at (f, alpha), so this is the Laplace
     # approximation of the log marginal likelihood
     log_marginal = float(obj - 0.5 * log_det_B)
-    return LatentPosterior(
-        prior, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
-    )
+    return LatentPosterior(prior, y, f, W, alpha, chol_B, log_marginal, it, halvings, grad_max)
 
 
 def _whiten(post, *cross):

@@ -92,7 +92,7 @@ def whitened_inverse(K, W):
     prediction applies, L the lower Cholesky factor of B = I + W^1/2 K W^1/2
     from ``_factor_B``. dtrtri leaves B's entries above M's diagonal."""
     chol_B = _factor_B(K, np.sqrt(W))
-    M = np.tril(LatentPosterior(None, None, None, W, None, chol_B, K)._whitener)
+    M = np.tril(LatentPosterior(None, None, None, W, None, chol_B)._whitener)
     return M.T @ M
 
 

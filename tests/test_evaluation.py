@@ -128,6 +128,14 @@ class TestUnknownApvTarget:
         assert calls == []
 
 
+def _forbid_draws_and_fits(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("drew or fitted")
+
+    monkeypatch.setattr(ev.lgcp, "fit_lgcp", boom)
+    monkeypatch.setattr(ev.gp_gaussian, "sample_prior", boom)
+
+
 class TestEstimate:
     """``estimate`` over several criteria against one call per criterion."""
 
@@ -185,6 +193,37 @@ class TestEstimate:
         monkeypatch.setattr(ev.gp_gaussian, "sample_prior", boom)
         with pytest.raises(LgcpDesignError, match=message):
             ev.estimate(pois_model, halton(10), criteria, grid, M)
+
+    @pytest.mark.parametrize("call", ["estimate", "compare_designs"])
+    @pytest.mark.parametrize("criteria, with_grid, M, message", [
+        (["kl", "apv_latent"], False, 4, "^the APV criteria need a grid$"),
+        (["apv_intensity"], False, 4, "^the APV criteria need a grid$"),
+        (["kl"], True, 0, "^M must be >= 2$"),
+        (["kl"], True, 1, "^M must be >= 2$"),
+        (["kl", "KL"], True, 4, "^unknown criterion 'KL'$"),
+    ], ids=["latent_no_grid", "intensity_no_grid", "M0", "M1", "criterion"])
+    def test_request_checked_before_any_draw(self, call, criteria, with_grid, M, message,
+                                             pois_model, gauss_model, grid, monkeypatch):
+        _forbid_draws_and_fits(monkeypatch)
+        grid = grid if with_grid else None
+        for model in (pois_model, gauss_model):
+            with pytest.raises(LgcpDesignError, match=message):
+                if call == "estimate":
+                    ev.estimate(model, halton(10), criteria, grid, M)
+                else:
+                    designs = {"a": halton(10), "b": random_design(6, seed=1)}
+                    compare_designs(model, designs, criteria, grid, M)
+
+    def test_compare_without_designs_rejected(self, pois_model, monkeypatch):
+        _forbid_draws_and_fits(monkeypatch)
+        with pytest.raises(LgcpDesignError, match="^designs must name at least one design$"):
+            compare_designs(pois_model, {}, ["kl"], None, 4)
+
+    def test_apv_of_an_empty_design_needs_a_grid(self, pois_model):
+        from lgcp_design.designs import Design
+
+        with pytest.raises(LgcpDesignError, match="^the APV criteria need a grid$"):
+            ev.estimate(pois_model, Design(np.empty((0, 3)), {}), ["apv_latent"], None, 4)
 
     def test_empty_design_takes_the_prior_values(self, pois_model, grid):
         from lgcp_design.designs import Design
@@ -368,7 +407,7 @@ class TestFailurePolicy:
         def singular(a, overwrite=False):
             raise NumericalError("singular prior")
 
-        monkeypatch.setattr(ev.gp_gaussian, "cholesky", singular)
+        monkeypatch.setattr(ev.lgcp, "cholesky", singular)
         point_sets = [halton(8).points, random_design(6, seed=1).points]
         reps, reasons = ev._replicates(
             pois_model, point_sets, ["kl"], None, 4, 1, lambda j, d: (j, 1, d)
@@ -380,8 +419,9 @@ class TestFailurePolicy:
         def singular(a, overwrite=False):
             raise NumericalError("forced")
 
-        # only sample_prior factors through gp_gaussian's cholesky on this path
-        monkeypatch.setattr(ev.gp_gaussian, "cholesky", singular)
+        # the union's draw factor is the first factorization on this path, so
+        # every replicate fails before any fit runs
+        monkeypatch.setattr(ev.lgcp, "cholesky", singular)
         with pytest.raises(NumericalError, match="^4 of 4 replicates failed to converge$"):
             expected_apv(pois_model, halton(8), grid, 4, seed=1, target="latent")
         designs = {"a": halton(8), "b": random_design(6, seed=1), "c": halton(5, offset=8)}

@@ -188,6 +188,11 @@ class TestMeanFunction:
         with pytest.raises(LgcpDesignError):
             MeanFunction.tabulated(grid, np.zeros(7))
 
+    @pytest.mark.parametrize("kind", ["linear", "Constant", ""])
+    def test_unknown_kind_rejected_when_built(self, kind):
+        with pytest.raises(LgcpDesignError, match=f"^unknown mean kind {kind!r}$"):
+            MeanFunction(kind, (1.0,))
+
 
 def _broadcast_cov(a, b, cov):
     """cov_matrix written out with broadcast distances, as a reference."""

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from lgcp_design import (
     unit_cube,
 )
 from lgcp_design import lgcp
-from lgcp_design.gp_gaussian import PriorTerms
+from lgcp_design.lgcp import PriorTerms
 from conftest import (
     dense_gaussian_posterior,
     gaussian_posterior_kl,
@@ -500,7 +501,7 @@ def _reference_fit(model, design_points, y, prior=None):
         np.sum(obs.loglik(y, f)) - 0.5 * (f - mu) @ alpha - 0.5 * log_det_B
     )
     return LatentPosterior(
-        prior, y, f, W, alpha, chol_B, K, log_marginal, it, halvings, grad_max
+        prior, y, f, W, alpha, chol_B, log_marginal, it, halvings, grad_max
     )
 
 
@@ -996,9 +997,9 @@ def _start_factor_log(monkeypatch):
     when the call returned the factor its terms already kept."""
     log, real = [], PriorTerms.start_factor
 
-    def logged(self, sW, factor_B):
+    def logged(self, sW):
         kept = self._start
-        chol = real(self, sW, factor_B)
+        chol = real(self, sW)
         log.append(kept is not None and chol is kept[1])
         return chol
 
@@ -1118,6 +1119,49 @@ class TestStartFactor:
                 array[0, 0] = 0.0
 
 
+def _draw_prior(case):
+    """A model and points whose draw jitter 1e-8 max(diag K, 1) is not the
+    model's: a prior of total variance 0.5, or a model conditioned on a first
+    wave, whose prior variances lie below the base model's 4."""
+    if case == "total_variance_below_1":
+        cov = CovStructure(
+            "additive", KernelSpec("matern32", 0.8, 0.2), KernelSpec("sqexp", 1.5, 0.3)
+        )
+        return Model(MeanFunction.constant(0.3), cov), halton(40, domain=unit_cube()).points
+    base = _paper_model()
+    wave1 = halton(25, domain=unit_cube()).points
+    model = condition_on_data(base, wave1, _replicate(base, wave1, 0))
+    return model, halton(40, offset=25, domain=unit_cube()).points
+
+
+class TestOnePriorCovariance:
+    """Draws and fits on one PriorTerms read one K + model.jitter I: the draw
+    factor is the Cholesky factor of ``jittered_K``, and a posterior's K is
+    that same array."""
+
+    @pytest.mark.parametrize("case", ["total_variance_below_1", "conditioned"])
+    def test_draw_factor_is_the_factor_of_jittered_K(self, case):
+        model, X = _draw_prior(case)
+        prior = PriorTerms.at(model, X)
+        jittered = prior.K + model.jitter * np.eye(X.shape[0])
+        assert _same_bits(prior.jittered_K, jittered)
+        c, info = dpotrf(jittered, lower=1, clean=0)
+        assert info == 0
+        assert _same_bits(prior.factor, np.tril(c).T)
+        draws = sample_prior(model, X, 3, 7, prior=prior)
+        z = np.random.default_rng(7).standard_normal((3, X.shape[0]))
+        assert _same_bits(draws, prior.mu[None, :] + z @ np.tril(c).T)
+
+    @pytest.mark.parametrize("obs", [Poisson(), GaussianObs(0.5)], ids=["poisson", "gaussian"])
+    def test_posterior_K_is_the_priors(self, obs):
+        model = _paper_model(obs)
+        X = halton(30, domain=unit_cube()).points
+        post = fit_lgcp(model, X, _replicate(model, X, 2))
+        assert post.K is post.prior.jittered_K
+        # the posterior keeps no K of its own that could differ from its prior's
+        assert "K" not in {f.name for f in fields(LatentPosterior)}
+
+
 class TestPredictionOracle:
     """laplace_predict and ConditionedModel.cov_at against the dense form
     K_qq - K_qD (K + diag(1/W))^-1 K_Dq, on posteriors built with a chosen W."""
@@ -1131,7 +1175,7 @@ class TestPredictionOracle:
         alpha = rng.normal(size=n)
         f = model.mean_at(X) + K @ alpha
         chol_B = lgcp._factor_B(K, np.sqrt(W))
-        post = LatentPosterior(PriorTerms.at(model, X), np.zeros(n), f, W, alpha, chol_B, K)
+        post = LatentPosterior(PriorTerms.at(model, X), np.zeros(n), f, W, alpha, chol_B)
         return post, rng.random((40, 3))
 
     @pytest.mark.parametrize("n", [5, 50, 150])
