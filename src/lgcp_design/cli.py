@@ -417,9 +417,8 @@ def _cmd_evaluate(v) -> int:
             f"design CSV {v['design_csv']}: point {k + 1} {tuple(design.points[k].tolist())} "
             "lies outside the evaluation domain"
         )
-    name = design.provenance.get("generator", "design")
     rows = [
-        {"design_name": name, "criterion": est.criterion, "estimate": est.value,
+        {"design_name": "design", "criterion": est.criterion, "estimate": est.value,
          "std_error": est.std_error, "M": est.M, "reduction_vs_base_pct": ""}
         for est in ev.estimate(_build_model(v), design, v["criterion"], grid, v["M"], v["seed"])
     ]

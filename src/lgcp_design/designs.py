@@ -127,84 +127,64 @@ def _sobol(i: np.ndarray) -> np.ndarray:
     return x * 2.0**-_SOBOL_BITS
 
 
-# Most raw proposals in one round of _Proposals.take, once rounds fall short
+# Most raw proposals in one round of _admissible
 _MAX_ROUND = 4096
 
 
-class _Proposals:
-    """Admissible domain points of one base sequence, in sequence order.
+def _admissible(name, domain, seed, offset, n):
+    """The admissible domain points of one base sequence, in sequence order,
+    as one array per round of raw proposals.
 
-    Raw unit-cube proposals are drawn, mapped and mask-checked as arrays in
-    rounds. A take's first round draws as many proposals as points are
-    missing, so where the mask rejects nothing it completes the take without
-    drawing past it; each round that falls short doubles the next, up to
-    _MAX_ROUND, and admissible points drawn past a take are kept for the next.
+    Each round is drawn, mapped and mask-checked at once. The first round
+    has n proposals, so where the mask rejects nothing it holds the first n
+    points; each later round doubles, up to _MAX_ROUND. A Sobol round stops
+    at the sequence's end, and the request after it raises LgcpDesignError.
+    If the mask rejects MAX_CONSECUTIVE_REJECTIONS proposals in a row, across
+    rounds, the points before that streak are the last round, and the
+    request after it raises InfeasibleDesignError.
     """
-
-    def __init__(self, name, domain, seed, offset, n_hint):
-        BASE_GENERATORS.check(name)
-        self._name, self._domain, self._index = name, domain, offset
-        self._misses = 0  # masked proposals since the last admissible one
-        self._ready = np.empty((0, 3))  # admissible points drawn, not yet taken
-        self._error = None  # the streak cut that follows the ready points
-        # index past the last proposal the sequence can produce
-        self._end = 1 << _SOBOL_BITS if name == "sobol" else np.inf
+    BASE_GENERATORS.check(name)
+    if name == "random":
+        rng = np.random.default_rng(seed)
+    elif name == "fibonacci":
+        # rank-1 golden-ratio lattice; first axis strides 1/n
+        g = np.array([1.0 / max(n, 1), 1.0 / _PHI, 1.0 / _PHI**2])
+    end = 1 << _SOBOL_BITS if name == "sobol" else np.inf
+    index, size, misses = offset, max(n, 1), 0  # misses: masked proposals in a row
+    while True:
+        # a Sobol round stops at the end; the next is one proposal past it,
+        # which _sobol rejects
+        k = max(min(size, end - index), 1)
+        i = np.arange(index, index + k)
+        index += k
         if name == "random":
-            self._rng = np.random.default_rng(seed)
-        elif name == "fibonacci":
-            # rank-1 golden-ratio lattice; first axis strides 1/n_hint
-            self._g = np.array([1.0 / max(n_hint, 1), 1.0 / _PHI, 1.0 / _PHI**2])
-
-    def _unit(self, k):
-        """The next k raw proposals, as a (k, 3) unit-cube array."""
-        if self._name == "random":
-            return self._rng.random((k, 3))
-        i = np.arange(self._index, self._index + k)
-        self._index += k
-        if self._name == "sobol":
-            return _sobol(i)
-        if self._name == "halton":
+            u = rng.random((k, 3))
+        elif name == "halton":
             # index starts at 1: base-2 sequence begins 1/2, 1/4, 3/4, ...
-            return np.column_stack([_van_der_corput(i + 1, b) for b in (2, 3, 5)])
-        return np.mod((i[:, None] + 0.5) * self._g, 1.0)
-
-    def take(self, count):
-        """The next ``count`` admissible points as a (count, 3) array, and None.
-
-        If the mask rejects MAX_CONSECUTIVE_REJECTIONS proposals in a row,
-        the points before that streak come back with the
-        InfeasibleDesignError in place of None.
-        """
-        found = [self._ready[:count]]
-        self._ready = self._ready[count:]
-        missing = size = count - len(found[0])
-        while missing > 0 and self._error is None:
-            # past the sequence's end only when the missing points need it
-            k = max(missing, min(size, self._end - self._index))
-            p = from_unit_cube(self._unit(k), self._domain)
-            ok = is_admissible(p, self._domain)
-            # masked proposals in a row up to each proposal, across rounds
-            j = np.arange(k)
-            run = j - np.maximum.accumulate(np.where(ok, j, -1 - self._misses))
-            streak = np.flatnonzero(run >= MAX_CONSECUTIVE_REJECTIONS)
-            if streak.size:
-                p, ok = p[: streak[0]], ok[: streak[0]]
-                self._error = InfeasibleDesignError("mask rejected 10^6 consecutive proposals")
-            admissible = p[ok]
-            found.append(admissible[:missing])
-            self._ready = admissible[missing:]
-            missing -= len(found[-1])
-            self._misses = int(run[-1])
-            size = min(2 * size, _MAX_ROUND)
-        return np.concatenate(found), self._error if missing else None
+            u = np.column_stack([_van_der_corput(i + 1, b) for b in (2, 3, 5)])
+        elif name == "sobol":
+            u = _sobol(i)
+        else:
+            u = np.mod((i[:, None] + 0.5) * g, 1.0)
+        p = from_unit_cube(u, domain)
+        ok = is_admissible(p, domain)
+        # masked proposals in a row up to each proposal, across rounds
+        j = np.arange(k)
+        run = j - np.maximum.accumulate(np.where(ok, j, -1 - misses))
+        streak = np.flatnonzero(run >= MAX_CONSECUTIVE_REJECTIONS)
+        if streak.size:
+            yield p[: streak[0]][ok[: streak[0]]]
+            raise InfeasibleDesignError("mask rejected 10^6 consecutive proposals")
+        yield p[ok]
+        misses, size = int(run[-1]), min(2 * size, _MAX_ROUND)
 
 
 def _first(name, n, domain, seed=None, offset=0):
     """The first n admissible points of a base sequence."""
-    points, error = _Proposals(name, domain, seed, offset, n).take(n)
-    if error is not None:
-        raise error
-    return points
+    rounds, found = _admissible(name, domain, seed, offset, n), [np.empty((0, 3))]
+    while sum(map(len, found)) < n:
+        found.append(next(rounds))
+    return np.concatenate(found)[:n]
 
 
 # ----------------------------------------------------------------------
@@ -488,21 +468,6 @@ class InclusionProbability:
 # ----------------------------------------------------------------------
 # rejection thinning
 
-# Most proposals per inclusion-probability evaluation in rejection_wrap: one
-# posterior prediction then serves a whole block instead of one proposal.
-_BLOCK = 256
-
-
-def _block_size(n, accepted, pulled):
-    """Proposals expected to complete the design at the acceptance rate seen
-    so far: n for the first block, _BLOCK while nothing has been accepted."""
-    if pulled == 0:
-        return n
-    if accepted == 0:
-        return _BLOCK
-    return -(-(n - accepted) * pulled // accepted)
-
-
 def rejection_wrap(
     base: str,
     incl: InclusionProbability,
@@ -518,24 +483,24 @@ def rejection_wrap(
     "halton", "sobol", "fibonacci"); each admissible proposal is accepted
     independently with its inclusion probability until n points are kept.
     With p = 1 everywhere, the output equals the plain base design.
-    Proposals are drawn and thinned in blocks, each sized from the
-    acceptance rate seen so far and capped at _BLOCK: one probability
-    evaluation and one array of acceptance draws per block, in sequence
-    order, so the result is that of thinning one proposal at a time.
+    Proposals are thinned in the base sequence's rounds (n raw proposals,
+    then twice as many each round, up to _MAX_ROUND), cut to the remaining
+    ``max_attempts``: one probability evaluation and one array of
+    acceptance draws per round, in sequence order, so the result is that of
+    thinning one proposal at a time.
     """
     domain = domain or unit_cube()
     if max_attempts is None:
         max_attempts = 1000 * n
     if max_attempts < n:
         raise LgcpDesignError("max_attempts must be at least n")
-    source = _Proposals(base, domain, seed, offset, n)
+    rounds = _admissible(base, domain, seed, offset, n)
     accept_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     accepted = [np.empty((0, 3))]
     accepted_idx: list[int] = []
     start = 0
     while start < max_attempts:
-        size = _block_size(n, len(accepted_idx), start)
-        block, error = source.take(min(size, _BLOCK, max_attempts - start))
+        block = next(rounds)[: max_attempts - start]
         if len(block):
             probs = incl.at(block)
             kept = np.flatnonzero(accept_rng.random(len(block)) < probs)[: n - len(accepted_idx)]
@@ -554,9 +519,6 @@ def rejection_wrap(
                     "accepted_proposals": accepted_idx,
                 },
             )
-        # the proposals taken before a mask failure may complete the design
-        if error is not None:
-            raise error
         start += len(block)
     raise InfeasibleDesignError(
         f"rejection budget of {max_attempts} proposals exhausted "

@@ -298,10 +298,11 @@ def compare_designs(
     reduction relative to the base is reported, computed over the replicates
     where both the design and its base succeeded. No design, a name in
     ``base_of`` that is not in ``designs``, or a request ``estimate`` rejects
-    raises LgcpDesignError before any replicate runs. A failed fit drops that
-    replicate from every criterion of its design. When more than 5% of all
-    fits fail, NumericalError is raised; its ``failure_reasons`` maps each
-    design name to its failures' messages and their counts.
+    raises LgcpDesignError before any replicate runs; an empty ``criteria``
+    returns no rows, with no draw or fit. A failed fit drops that replicate
+    from every criterion of its design. When more than 5% of all fits fail,
+    NumericalError is raised; its ``failure_reasons`` maps each design name
+    to its failures' messages and their counts.
 
     Returns a list of row dicts with keys design_name, criterion, estimate,
     std_error, M, n_failed (the design's failed replicates), failure_reasons
@@ -316,6 +317,8 @@ def compare_designs(
     for name, base in base_of.items():
         if name not in designs or base not in designs:
             raise LgcpDesignError(f"base_of names unknown design: {name!r} -> {base!r}")
+    if not criteria:
+        return []
     reps, reasons = _replicates(
         model, [designs[name].points for name in names], criteria, grid, M, seed,
         lambda j, d: (j, 1, d),

@@ -544,7 +544,8 @@ class TestSimstudy:
 
 
 class TestMaskedPipeline:
-    def test_mask_flows_through_design_command(self, tmp_path):
+    @staticmethod
+    def _design_on_mask(tmp_path, generator):
         from lgcp_design import Domain, is_admissible, load_design, save_mask_file
 
         mask = np.ones((4, 4, 2), dtype=bool)
@@ -554,12 +555,20 @@ class TestMaskedPipeline:
         save_mask_file(mask_path, domain)
         out = tmp_path / "d.csv"
         code = main([
-            "design", "--generator", "random", "--n", "30", "--seed", "0",
+            "design", "--generator", generator, "--n", "30", "--seed", "0",
             "--mask", str(mask_path), "--out", str(out),
         ])
         assert code == EXIT_OK
         des = load_design(out)
-        assert np.all(is_admissible(des.points, domain))
+        assert des.n == 30 and np.all(is_admissible(des.points, domain))
+
+    def test_mask_flows_through_design_command(self, tmp_path):
+        self._design_on_mask(tmp_path, "random")
+
+    def test_mask_flows_through_rejection_design_command(self, tmp_path):
+        # a thinned base sequence on a masked domain: proposal rounds and
+        # thinning, end to end
+        self._design_on_mask(tmp_path, "halton+rejection")
 
 
 class TestGeneratorTable:

@@ -1,6 +1,4 @@
 import itertools
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -566,8 +564,28 @@ def _incl(kind, poisson_model_fixture, conditioned_model):
     return InclusionProbability.build("expected_intensity", model, grid)
 
 
+def _count_rounds(monkeypatch):
+    """The raw proposals of each round the proposal stream mask-checks. A
+    stream past 20 rounds fails here rather than running on."""
+    rounds = []
+    check = dsg.is_admissible
+
+    def counted(points, domain):
+        rounds.append(len(points))
+        assert len(rounds) <= 20
+        return check(points, domain)
+
+    monkeypatch.setattr(dsg, "is_admissible", counted)
+    return rounds
+
+
+def _round_ends(n, count=12):
+    """Proposals drawn by the end of each round, n proposals first."""
+    return np.cumsum([min(n << r, dsg._MAX_ROUND) for r in range(count)]).tolist()
+
+
 class TestBlockedThinning:
-    """Blocked probability evaluation reproduces the one-proposal-at-a-time loop."""
+    """Thinning by rounds reproduces the one-proposal-at-a-time loop."""
 
     @pytest.mark.parametrize("kind", ["prior", "conditioned"])
     @pytest.mark.parametrize("base", ["random", "halton", "sobol", "fibonacci"])
@@ -575,10 +593,10 @@ class TestBlockedThinning:
                                        conditioned_model):
         incl = _incl(kind, poisson_model_fixture, conditioned_model)
         dom = masked_domain()
-        # 300 to 600 proposals at this acceptance rate: more than one block
+        # 300 to 600 proposals at this acceptance rate: more than one round
         des = rejection_wrap(base, incl, 150, domain=dom, seed=5, offset=3)
         ref_pts, ref_idx = _per_proposal_rejection(base, incl, 150, dom, 5, 150_000, offset=3)
-        assert ref_idx[-1] >= dsg._BLOCK
+        assert ref_idx[-1] >= len(next(dsg._admissible(base, dom, 5, 3, 150)))
         assert np.array_equal(des.points, ref_pts)
         assert des.provenance["accepted_proposals"] == ref_idx
 
@@ -588,7 +606,10 @@ class TestBlockedThinning:
         incl = _incl(kind, poisson_model_fixture, conditioned_model)
         _, ref_idx = _per_proposal_rejection("halton", incl, 90, unit_cube(), 0, 90_000)
         last = ref_idx[-1] + 1
-        assert last % dsg._BLOCK != 0
+        # the budget, and one proposal fewer, end inside a round after the
+        # first: every unit-cube proposal is admissible
+        ends = _round_ends(90)
+        assert last > ends[0] and last not in ends and last - 1 not in ends
         # the design completes on the last proposal the budget allows
         des = rejection_wrap("halton", incl, 90, max_attempts=last)
         assert des.provenance["accepted_proposals"] == ref_idx
@@ -610,11 +631,13 @@ class TestBlockedThinning:
             while True:
                 next(stream)
                 available += 1
-        assert 0 < available < dsg._BLOCK
+        assert available > 0
         incl = InclusionProbability.constant(1.0)
+        rounds = _count_rounds(monkeypatch)
         # the proposals before the failure complete a design of their size
         des = rejection_wrap("random", incl, available, domain=dom, seed=4)
         assert des.provenance["accepted_proposals"] == list(range(available))
+        assert len(rounds) > 1
         with pytest.raises(InfeasibleDesignError, match="consecutive"):
             rejection_wrap("random", incl, available + 1, domain=dom, seed=4)
 
@@ -628,24 +651,20 @@ class TestBlockedThinning:
 
 
 class TestProposalSource:
-    """The array proposal source reproduces the per-point streams."""
+    """The proposal stream's rounds reproduce the per-point streams."""
 
     @pytest.mark.parametrize("offset", [0, 5])
     @pytest.mark.parametrize("base", dsg.BASE_GENERATORS)
     def test_takes_concatenate_to_one_take(self, base, offset):
-        sizes = [1, 7, dsg._BLOCK, 3, 1, 100]
+        # the rounds, taken one after another, concatenate to the stream
         for dom in (masked_domain(), sparse_domain(200)):
-            source = dsg._Proposals(base, dom, 2, offset, 40)
-            parts = []
-            for k in sizes:
-                pts, error = source.take(k)
-                assert error is None and pts.shape == (k, 3)
-                parts.append(pts)
-            whole, error = dsg._Proposals(base, dom, 2, offset, 40).take(sum(sizes))
-            assert error is None
-            assert np.array_equal(np.concatenate(parts), whole)
+            rounds, parts = dsg._admissible(base, dom, 2, offset, 40), []
+            while sum(map(len, parts)) < 368:
+                parts.append(next(rounds))
+            assert len(parts) > 2
+            whole = np.concatenate(parts)
             stream = _per_point_stream(base, dom, 2, offset, 40)
-            assert np.array_equal(whole, [next(stream) for _ in range(sum(sizes))])
+            assert np.array_equal(whole, [next(stream) for _ in range(len(whole))])
 
     def test_consecutive_misses_cut_a_take(self, monkeypatch):
         monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 3)
@@ -655,33 +674,21 @@ class TestProposalSource:
             for p in _per_point_stream("random", dom, 4, 0, 1):
                 ref.append(p)
         assert len(ref) > 1
-        pts, error = dsg._Proposals("random", dom, 4, 0, 1).take(len(ref) + 50)
-        assert isinstance(error, InfeasibleDesignError) and "consecutive" in str(error)
-        assert np.array_equal(pts, ref)
+        # the round of the streak yields the points before it; the request
+        # after it raises
+        rounds, parts = dsg._admissible("random", dom, 4, 0, 1), []
+        with pytest.raises(InfeasibleDesignError) as exc:
+            while True:
+                parts.append(next(rounds))
+        assert str(exc.value) == "mask rejected 10^6 consecutive proposals"
+        assert len(parts) > 1 and np.array_equal(np.concatenate(parts), ref)
         # the streak only cuts a take that asks past the points before it
-        source = dsg._Proposals("random", dom, 4, 0, 1)
-        pts, error = source.take(len(ref) - 1)
-        assert error is None and np.array_equal(pts, ref[:-1])
-        pts, error = source.take(1)
-        assert error is None and np.array_equal(pts, ref[-1:])
-        pts, error = source.take(1)
-        assert isinstance(error, InfeasibleDesignError) and pts.shape == (0, 3)
-
-
-    @staticmethod
-    def _count_rounds(monkeypatch):
-        rounds = []
-        unit = dsg._Proposals._unit
-
-        def counted(self, k):
-            rounds.append(k)
-            return unit(self, k)
-
-        monkeypatch.setattr(dsg._Proposals, "_unit", counted)
-        return rounds
+        assert np.array_equal(dsg._first("random", len(ref), dom, 4), ref)
+        with pytest.raises(InfeasibleDesignError, match="consecutive"):
+            dsg._first("random", len(ref) + 1, dom, 4)
 
     def test_rounds_grow_on_a_sparse_mask(self, monkeypatch):
-        rounds = self._count_rounds(monkeypatch)
+        rounds = _count_rounds(monkeypatch)
         dom = sparse_domain()
         des = halton(150, domain=dom)
         # one round per doubling up to _MAX_ROUND, then rounds of _MAX_ROUND
@@ -692,7 +699,7 @@ class TestProposalSource:
 
     def test_long_streak_in_few_rounds(self, monkeypatch):
         monkeypatch.setattr(dsg, "MAX_CONSECUTIVE_REJECTIONS", 10**4)
-        rounds = self._count_rounds(monkeypatch)
+        rounds = _count_rounds(monkeypatch)
         # two admissible cells, both off the s1 = 0.5 line of a 1-point lattice
         mask = np.zeros((5, 5, 5), dtype=bool)
         mask[0, 0, 0] = mask[4, 4, 4] = True
@@ -702,16 +709,19 @@ class TestProposalSource:
         assert len(rounds) <= 20
         assert sum(rounds[:-1]) < 10**4 <= sum(rounds)
 
-    def test_rounds_stop_at_the_sobol_end(self):
+    def test_rounds_stop_at_the_sobol_end(self, monkeypatch):
         dom, end = sparse_domain(), 1 << dsg._SOBOL_BITS
         last = from_unit_cube(dsg._sobol(np.arange(end - 2000, end)), dom)
-        available = int(is_admissible(last, dom).sum())
-        assert 0 < available < 2000
-        source = dsg._Proposals("sobol", dom, None, end - 2000, 1)
-        pts, error = source.take(available)
-        assert error is None and np.array_equal(pts, last[is_admissible(last, dom)])
+        ok = is_admissible(last, dom)
+        assert 0 < ok.sum() < 2000
+        sizes = _count_rounds(monkeypatch)
+        rounds = dsg._admissible("sobol", dom, None, end - 2000, 1)
+        parts = [next(rounds) for _ in range(11)]
+        # rounds of 1, 2, ..., 512, and the last 977 proposals of the sequence
+        assert sizes == [1 << r for r in range(10)] + [977]
+        assert np.array_equal(np.concatenate(parts), last[ok])
         with pytest.raises(LgcpDesignError, match="at most 2\\*\\*30 Sobol points"):
-            source.take(1)
+            next(rounds)
 
 
 class TestPredictionCount:
@@ -736,30 +746,21 @@ class TestPredictionCount:
         grid = discretize(unit_cube(), (6, 6, 6))
         incl = InclusionProbability.build(variant, conditioned_model, grid, p_max=0.5)
         assert count_predictions == [grid.N]
-        block = halton(dsg._BLOCK).points
-        incl.at(block)
-        assert count_predictions == [grid.N, dsg._BLOCK]
+        incl.at(halton(256).points)
+        assert count_predictions == [grid.N, 256]
 
-    def test_one_prediction_per_block(self, conditioned_model, count_predictions):
+    def test_one_prediction_per_block(self, conditioned_model, count_predictions, monkeypatch):
         grid = discretize(unit_cube(), (6, 6, 6))
         incl = InclusionProbability.build("expected_intensity", conditioned_model, grid)
+        rounds = _count_rounds(monkeypatch)
         des = rejection_wrap("halton", incl, 90)
         idx = des.provenance["accepted_proposals"]
-        # blocks: n proposals first, then the proposals the acceptance rate
-        # so far says are still needed, never more than _BLOCK
-        sizes, pulled = [], 0
-        while pulled <= idx[-1]:
-            accepted = sum(i < pulled for i in idx)
-            if pulled == 0:
-                size = 90
-            elif accepted == 0:
-                size = dsg._BLOCK
-            else:
-                size = math.ceil(Fraction(90 - accepted) / Fraction(accepted, pulled))
-            sizes.append(min(size, dsg._BLOCK))
-            pulled += sizes[-1]
-        assert sizes[0] == 90 and dsg._BLOCK in sizes and len(set(sizes)) > 2
-        assert count_predictions == [grid.N] + sizes
+        # rounds of 90, 180, 360, ... proposals, all admissible on the unit
+        # cube, up to the one that holds the last accepted proposal
+        ends = _round_ends(90)
+        assert len(rounds) > 1 and ends[len(rounds) - 2] <= idx[-1] < ends[len(rounds) - 1]
+        assert rounds == [min(90 << r, dsg._MAX_ROUND) for r in range(len(rounds))]
+        assert count_predictions == [grid.N] + rounds
 
 
 class TestDesignIO:

@@ -219,6 +219,20 @@ class TestEstimate:
         with pytest.raises(LgcpDesignError, match="^designs must name at least one design$"):
             compare_designs(pois_model, {}, ["kl"], None, 4)
 
+    def test_no_criteria_no_fits(self, pois_model, monkeypatch):
+        fits = []
+        real = ev.lgcp.fit_lgcp
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev.lgcp, "fit_lgcp", counted)
+        designs = {"a": halton(10), "b": halton(8, offset=10)}
+        assert compare_designs(pois_model, designs, [], None, 5) == []
+        assert ev.estimate(pois_model, halton(10), [], None, 5) == []
+        assert fits == []
+
     def test_apv_of_an_empty_design_needs_a_grid(self, pois_model):
         from lgcp_design.designs import Design
 
