@@ -132,8 +132,8 @@ _MAX_ROUND = 4096
 
 
 def _admissible(name, domain, seed, offset, n):
-    """The admissible domain points of one base sequence, in sequence order,
-    as one array per round of raw proposals.
+    """The admissible domain points of one base sequence, a name its caller
+    has checked, in sequence order, as one array per round of raw proposals.
 
     Each round is drawn, mapped and mask-checked at once. The first round
     has n proposals, so where the mask rejects nothing it holds the first n
@@ -143,7 +143,6 @@ def _admissible(name, domain, seed, offset, n):
     rounds, the points before that streak are the last round, and the
     request after it raises InfeasibleDesignError.
     """
-    BASE_GENERATORS.check(name)
     if name == "random":
         rng = np.random.default_rng(seed)
     elif name == "fibonacci":
@@ -179,8 +178,15 @@ def _admissible(name, domain, seed, offset, n):
         misses, size = int(run[-1]), min(2 * size, _MAX_ROUND)
 
 
+def _require_size(n):
+    """The one size rule of every design engine."""
+    if n < 0:
+        raise LgcpDesignError("n must be >= 0")
+
+
 def _first(name, n, domain, seed=None, offset=0):
     """The first n admissible points of a base sequence."""
+    _require_size(n)
     rounds, found = _admissible(name, domain, seed, offset, n), [np.empty((0, 3))]
     while sum(map(len, found)) < n:
         found.append(next(rounds))
@@ -219,41 +225,69 @@ def fibonacci_lattice_3d(n: int, domain: Domain | None = None) -> Design:
     return Design(pts, {"generator": "fibonacci", "n": n})
 
 
+def _inhibit(n, delta, proposals, fail_limit):
+    """The design rows of the first n proposals kept, or None once fail_limit
+    proposals in a row are refused or the proposals run out.
+
+    ``proposals`` yields (unit-cube point, admissible, design row) triples.
+    One is kept when it is admissible and, unless delta is None, at unit-cube
+    distance at least delta from every point kept before it. Nothing is
+    drawn once n are kept.
+    """
+    _require_size(n)
+    kept, rows = np.empty((n, 3)), np.empty((n, 3))
+    k = refused = 0
+    for u, ok, row in proposals if n else ():
+        if ok and k and delta is not None:
+            # the rounded root is monotone: this is the least distance
+            ok = np.sqrt(((kept[:k] - u) ** 2).sum(axis=1).min()) >= delta
+        if ok:
+            kept[k], rows[k] = u, row
+            k, refused = k + 1, 0
+        else:
+            refused += 1
+        if k == n or refused >= fail_limit:
+            break
+    return rows if k == n else None
+
+
+def _uniform(rng, domain):
+    """_inhibit's proposals, uniform over the domain: one rng.random(3) each."""
+    while True:
+        u = rng.random(3)
+        p = from_unit_cube(u, domain)
+        yield u, is_admissible(p, domain), p
+
+
 def simple_inhibitory(n: int, delta: float, domain: Domain | None = None, seed=0) -> Design:
-    """Sequential random design with pairwise unit-cube distance >= delta."""
+    """Sequential random design with pairwise unit-cube distance >= delta.
+
+    After INHIBITORY_FAIL_LIMIT refused proposals in a row the design
+    restarts empty, drawing on from the same random stream, at most
+    INHIBITORY_MAX_RESTARTS times in all.
+    """
     domain = domain or unit_cube()
     if delta <= 0:
         raise LgcpDesignError("delta must be positive")
-    rng = np.random.default_rng(seed)
-    # the accepted unit-cube points are the first k rows
-    accepted = np.empty((n, 3))
+    proposals = _uniform(np.random.default_rng(seed), domain)
     for _restart in range(INHIBITORY_MAX_RESTARTS):
-        k = failures = 0
-        while k < n:
-            u = rng.random(3)
-            p = from_unit_cube(u, domain)
-            ok = is_admissible(p, domain)
-            if ok and k:
-                d = np.sqrt(np.sum((accepted[:k] - u) ** 2, axis=1))
-                ok = bool(np.min(d) >= delta)
-            if ok:
-                accepted[k] = u
-                k += 1
-                failures = 0
-            else:
-                failures += 1
-                if failures >= INHIBITORY_FAIL_LIMIT:
-                    break
-        if k == n:
-            pts = from_unit_cube(accepted, domain)
-            return Design(
-                pts,
-                {"generator": "min_dran", "n": n, "delta": delta, "seed": seed},
-            )
-    raise InfeasibleDesignError(
-        f"could not pack {n} points at threshold {delta} after "
-        f"{INHIBITORY_MAX_RESTARTS} restarts"
-    )
+        pts = _inhibit(n, delta, proposals, INHIBITORY_FAIL_LIMIT)
+        if pts is not None:
+            return Design(pts, {"generator": "min_dran", "n": n, "delta": delta, "seed": seed})
+    raise InfeasibleDesignError(f"could not pack {n} points at threshold {delta} after "
+                                f"{INHIBITORY_MAX_RESTARTS} restarts")
+
+
+def _near(parent_u, radius, rng, domain):
+    """_inhibit's proposals, uniform in the radius ball around a random
+    parent; one outside the unit cube is not admissible."""
+    while True:
+        parent = parent_u[rng.integers(len(parent_u))]
+        v = rng.standard_normal(3)
+        v *= radius * rng.random() ** (1.0 / 3.0) / np.linalg.norm(v)
+        u = parent + v
+        p = from_unit_cube(u, domain)
+        yield u, ((u >= 0) & (u <= 1)).all() and is_admissible(p, domain), p
 
 
 def inhibitory_close_pairs(
@@ -262,7 +296,8 @@ def inhibitory_close_pairs(
     """Inhibitory design of n-k parents plus k clustered close-pair points.
 
     Parents use the inflated threshold delta_k = delta * sqrt(n / (n - k));
-    each close-pair point lies within delta_k / 2 of a random parent.
+    each close-pair point lies within delta_k / 2 of a random parent, and
+    MAX_CONSECUTIVE_REJECTIONS refused placements in a row raise.
     """
     domain = domain or unit_cube()
     if not 0 < k < n:
@@ -271,68 +306,35 @@ def inhibitory_close_pairs(
     parents = simple_inhibitory(n - k, delta_k, domain, seed)
     parent_u = to_unit_cube(parents.points, domain)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    close: list[np.ndarray] = []
-    failures = 0
-    while len(close) < k:
-        parent = parent_u[rng.integers(len(parent_u))]
-        # uniform in the delta_k/2 ball around the parent
-        v = rng.standard_normal(3)
-        v *= (delta_k / 2.0) * rng.random() ** (1.0 / 3.0) / np.linalg.norm(v)
-        u = parent + v
-        p = from_unit_cube(u, domain)
-        if np.all((u >= 0) & (u <= 1)) and is_admissible(p, domain):
-            close.append(u)
-            failures = 0
-        else:
-            failures += 1
-            if failures >= MAX_CONSECUTIVE_REJECTIONS:
-                raise InfeasibleDesignError("close-pair placement kept failing")
-    pts = from_unit_cube(np.vstack([parent_u, np.array(close)]), domain)
-    return Design(
-        pts,
-        {
-            "generator": "close_pair",
-            "n": n,
-            "k": k,
-            "delta": delta,
-            "delta_k": delta_k,
-            "seed": seed,
-        },
-    )
+    near = _near(parent_u, delta_k / 2.0, rng, domain)
+    close = _inhibit(k, None, near, MAX_CONSECUTIVE_REJECTIONS)
+    if close is None:
+        raise InfeasibleDesignError("close-pair placement kept failing")
+    return Design(np.vstack([from_unit_cube(parent_u, domain), close]),
+                  {"generator": "close_pair", "n": n, "k": k, "delta": delta,
+                   "delta_k": delta_k, "seed": seed})
 
 
 def min_dist_discrete(n: int, delta: float, grid, seed=0) -> Design:
     """Inhibitory design with proposals drawn from grid cell centers.
 
     Proposals are taken uniformly without replacement; a cell is accepted if
-    its unit-cube distance to every accepted point is at least delta.
+    its unit-cube distance to every accepted point is at least delta. When
+    a permutation of the cells runs out first, the design restarts empty on
+    a new one, at most INHIBITORY_MAX_RESTARTS permutations in all.
     """
     if delta <= 0:
         raise LgcpDesignError("delta must be positive")
     if grid.N < n:
         raise LgcpDesignError("grid has fewer cells than the design size")
-    domain = grid.domain
-    cells_u = to_unit_cube(grid.cells, domain)
+    cells_u = to_unit_cube(grid.cells, grid.domain)
     rng = np.random.default_rng(seed)
     for _restart in range(INHIBITORY_MAX_RESTARTS):
         order = rng.permutation(grid.N)
-        accepted: list[int] = []
-        for idx in order:
-            u = cells_u[idx]
-            if accepted:
-                d = np.sqrt(np.sum((cells_u[accepted] - u) ** 2, axis=1))
-                if np.min(d) < delta:
-                    continue
-            accepted.append(int(idx))
-            if len(accepted) == n:
-                pts = grid.cells[accepted]
-                return Design(
-                    pts,
-                    {"generator": "min_dist", "n": n, "delta": delta, "seed": seed},
-                )
-    raise InfeasibleDesignError(
-        f"no admissible cell packing of size {n} at threshold {delta}"
-    )
+        pts = _inhibit(n, delta, ((cells_u[i], True, grid.cells[i]) for i in order), np.inf)
+        if pts is not None:
+            return Design(pts, {"generator": "min_dist", "n": n, "delta": delta, "seed": seed})
+    raise InfeasibleDesignError(f"no admissible cell packing of size {n} at threshold {delta}")
 
 
 def _maximin(n, candidates, start, domain, accept=None):
@@ -341,6 +343,7 @@ def _maximin(n, candidates, start, domain, accept=None):
     corner), each later one in order of decreasing minimum distance to the
     selected set, ties to the lowest index. A proposal is kept when
     ``accept(index)`` is true, and always when ``accept`` is None."""
+    _require_size(n)
     domain = domain or unit_cube()
     cand = np.atleast_2d(np.asarray(candidates, dtype=float))
     m = cand.shape[0]
@@ -490,6 +493,8 @@ def rejection_wrap(
     thinning one proposal at a time.
     """
     domain = domain or unit_cube()
+    BASE_GENERATORS.check(base)
+    _require_size(n)
     if max_attempts is None:
         max_attempts = 1000 * n
     if max_attempts < n:
@@ -499,31 +504,21 @@ def rejection_wrap(
     accepted = [np.empty((0, 3))]
     accepted_idx: list[int] = []
     start = 0
-    while start < max_attempts:
+    while len(accepted_idx) < n and start < max_attempts:
         block = next(rounds)[: max_attempts - start]
         if len(block):
             probs = incl.at(block)
             kept = np.flatnonzero(accept_rng.random(len(block)) < probs)[: n - len(accepted_idx)]
             accepted.append(block[kept])
             accepted_idx.extend((start + kept).tolist())
-        if len(accepted_idx) == n:
-            return Design(
-                np.concatenate(accepted),
-                {
-                    "generator": f"{base}+rejection",
-                    "base": base,
-                    "n": n,
-                    "seed": seed,
-                    "offset": offset,
-                    "incl_variant": incl.variant,
-                    "accepted_proposals": accepted_idx,
-                },
-            )
         start += len(block)
-    raise InfeasibleDesignError(
-        f"rejection budget of {max_attempts} proposals exhausted "
-        f"({len(accepted_idx)} of {n} accepted)"
-    )
+    if len(accepted_idx) < n:
+        raise InfeasibleDesignError(f"rejection budget of {max_attempts} proposals exhausted "
+                                    f"({len(accepted_idx)} of {n} accepted)")
+    return Design(np.concatenate(accepted),
+                  {"generator": f"{base}+rejection", "base": base, "n": n, "seed": seed,
+                   "offset": offset, "incl_variant": incl.variant,
+                   "accepted_proposals": accepted_idx})
 
 
 def space_fill_rejection(

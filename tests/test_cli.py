@@ -570,6 +570,11 @@ class TestMaskedPipeline:
         # thinning, end to end
         self._design_on_mask(tmp_path, "halton+rejection")
 
+    @pytest.mark.parametrize("generator", ["min_dran", "close_pair", "min_dist"])
+    def test_mask_flows_through_sequential_design_command(self, tmp_path, generator):
+        # the generators of the shared sequential sampler, end to end
+        self._design_on_mask(tmp_path, generator)
+
 
 class TestGeneratorTable:
     def test_every_name_dispatches(self):
@@ -598,3 +603,13 @@ class TestGeneratorTable:
 
         with pytest.raises(LgcpDesignError, match=message):
             cli.generate_design(name, 8, unit_cube(), 3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_at_least_one(self, n):
+        # the library's generators return an empty design at n = 0; the
+        # dispatch keeps its own rule
+        from lgcp_design import LgcpDesignError, unit_cube
+
+        with pytest.raises(LgcpDesignError) as exc:
+            cli.generate_design("halton", n, unit_cube(), 3)
+        assert str(exc.value) == "n must be >= 1"

@@ -724,6 +724,203 @@ class TestProposalSource:
             next(rounds)
 
 
+def _box():
+    return Domain(np.array([[0.0, 3.0], [0.0, 3.5], [0.0, 1.7]]))
+
+
+def _own_inhibitory(n, delta, domain, seed):
+    """simple_inhibitory with its own sampling loop, as a reference: the
+    points, and the restarts taken."""
+    rng = np.random.default_rng(seed)
+    accepted = np.empty((n, 3))
+    for restart in range(dsg.INHIBITORY_MAX_RESTARTS):
+        k = failures = 0
+        while k < n:
+            u = rng.random(3)
+            p = from_unit_cube(u, domain)
+            ok = is_admissible(p, domain)
+            if ok and k:
+                d = np.sqrt(np.sum((accepted[:k] - u) ** 2, axis=1))
+                ok = bool(np.min(d) >= delta)
+            if ok:
+                accepted[k] = u
+                k += 1
+                failures = 0
+            else:
+                failures += 1
+                if failures >= dsg.INHIBITORY_FAIL_LIMIT:
+                    break
+        if k == n:
+            return from_unit_cube(accepted, domain), restart
+    raise InfeasibleDesignError(
+        f"could not pack {n} points at threshold {delta} after "
+        f"{dsg.INHIBITORY_MAX_RESTARTS} restarts"
+    )
+
+
+def _own_close_pairs(n, k, delta, domain, seed):
+    """inhibitory_close_pairs with its own placement loop, as a reference:
+    the points, and the restarts its parents took."""
+    delta_k = delta * np.sqrt(n / (n - k))
+    parent_pts, restarts = _own_inhibitory(n - k, delta_k, domain, seed)
+    parent_u = to_unit_cube(parent_pts, domain)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    close: list[np.ndarray] = []
+    failures = 0
+    while len(close) < k:
+        parent = parent_u[rng.integers(len(parent_u))]
+        v = rng.standard_normal(3)
+        v *= (delta_k / 2.0) * rng.random() ** (1.0 / 3.0) / np.linalg.norm(v)
+        u = parent + v
+        p = from_unit_cube(u, domain)
+        if np.all((u >= 0) & (u <= 1)) and is_admissible(p, domain):
+            close.append(u)
+            failures = 0
+        else:
+            failures += 1
+            if failures >= dsg.MAX_CONSECUTIVE_REJECTIONS:
+                raise InfeasibleDesignError("close-pair placement kept failing")
+    return from_unit_cube(np.vstack([parent_u, np.array(close)]), domain), restarts
+
+
+def _own_min_dist(n, delta, grid, seed):
+    """min_dist_discrete with its own loop over cell permutations, as a
+    reference: the points, and the restarts taken."""
+    cells_u = to_unit_cube(grid.cells, grid.domain)
+    rng = np.random.default_rng(seed)
+    for restart in range(dsg.INHIBITORY_MAX_RESTARTS):
+        order = rng.permutation(grid.N)
+        accepted: list[int] = []
+        for idx in order:
+            u = cells_u[idx]
+            if accepted:
+                d = np.sqrt(np.sum((cells_u[accepted] - u) ** 2, axis=1))
+                if np.min(d) < delta:
+                    continue
+            accepted.append(int(idx))
+            if len(accepted) == n:
+                return grid.cells[accepted], restart
+    raise InfeasibleDesignError(
+        f"no admissible cell packing of size {n} at threshold {delta}"
+    )
+
+
+def _sampler_cases(generator, domain):
+    """(generator under test, its own loop, arguments) for each size and seed."""
+    grid = discretize(domain, (8, 8, 6))
+    for seed in (0, 1):
+        if generator == "min_dran":
+            for n in (1, 10, 50, 150):
+                yield simple_inhibitory, _own_inhibitory, (n, default_delta(n), domain, seed)
+        elif generator == "close_pair":
+            for n in (10, 50, 150):
+                yield (inhibitory_close_pairs, _own_close_pairs,
+                       (n, n // 2, default_delta(n), domain, seed))
+        else:
+            # 45 and 60 cells at 0.21 need a second permutation on some
+            # domains and seeds, and exhaust all of them on others
+            for n in (1, 20, 45, 60):
+                yield min_dist_discrete, _own_min_dist, (n, 0.21, grid, seed)
+
+
+# the loops' limits, and under "tight" what the cases must run into: a design
+# on its first pass, one after a restart, and each exhaustion message (its
+# first two words)
+_LIMITS = {"default": {}, "tight": {"INHIBITORY_FAIL_LIMIT": 4, "MAX_CONSECUTIVE_REJECTIONS": 2}}
+_OUTCOMES = {
+    ("min_dran", "tight"): {"first", "restart", "could not"},
+    ("close_pair", "tight"): {"first", "restart", "could not", "close-pair placement"},
+    ("min_dist", "default"): {"first", "restart", "no admissible"},
+    ("min_dist", "tight"): {"first", "restart", "no admissible"},
+}
+
+
+class TestSequentialSampler:
+    """min_dran, close_pair and min_dist through the shared sampler equal
+    their own loops bit for bit, in points and in exhaustion messages."""
+
+    @pytest.mark.parametrize("limits", list(_LIMITS))
+    @pytest.mark.parametrize("generator", ["min_dran", "close_pair", "min_dist"])
+    def test_matches_own_loop(self, generator, limits, monkeypatch):
+        for name, value in _LIMITS[limits].items():
+            monkeypatch.setattr(dsg, name, value)
+        seen = set()
+        for domain in (unit_cube(), masked_domain(), _box()):
+            for make, own, args in _sampler_cases(generator, domain):
+                try:
+                    ref, restarts = own(*args)
+                except InfeasibleDesignError as exc:
+                    with pytest.raises(InfeasibleDesignError) as got:
+                        make(*args)
+                    assert str(got.value) == str(exc), args
+                    seen.add(" ".join(str(exc).split()[:2]))
+                    continue
+                points = make(*args).points
+                assert points.shape == ref.shape and points.tobytes() == ref.tobytes(), args
+                seen.add("restart" if restarts else "first")
+        assert seen == _OUTCOMES.get((generator, limits), {"first"})
+
+    def test_draws_stop_at_n_and_no_delta_skips_spacing(self):
+        # no proposal past the n-th is drawn, and none is refused for spacing
+        drawn = []
+
+        def proposals():
+            for i in itertools.count():
+                drawn.append(i)
+                yield np.zeros(3), True, np.full(3, float(i))
+
+        rows = dsg._inhibit(4, None, proposals(), 1)
+        assert np.array_equal(rows[:, 0], [0, 1, 2, 3]) and drawn == [0, 1, 2, 3]
+        assert dsg._inhibit(4, 0.5, proposals(), 1) is None
+        assert len(dsg._inhibit(0, 0.5, proposals(), 1)) == 0 and len(drawn) == 6
+
+
+_SMALL_GRID = discretize(unit_cube(), (4, 4, 4))
+
+# a call of every generator at design size n
+_AT_SIZE = {
+    "random": lambda n: random_design(n),
+    "halton": lambda n: halton(n),
+    "sobol": lambda n: sobol(n),
+    "fibonacci": lambda n: fibonacci_lattice_3d(n),
+    "min_dran": lambda n: simple_inhibitory(n, 0.1),
+    "min_dist": lambda n: min_dist_discrete(n, 0.1, _SMALL_GRID),
+    "space_fill": lambda n: coffee_house(n, _SMALL_GRID.cells),
+    "space_fill+rejection": lambda n: space_fill_rejection(
+        n, _SMALL_GRID.cells, InclusionProbability.constant(1.0)),
+    "halton+rejection": lambda n: rejection_wrap("halton", InclusionProbability.constant(1.0), n),
+}
+
+
+class TestSizeRule:
+    """One size rule: n = 0 gives an empty design, n < 0 one error."""
+
+    @pytest.mark.parametrize("name", list(_AT_SIZE))
+    def test_zero_is_empty(self, name):
+        assert _AT_SIZE[name](0).points.shape == (0, 3)
+
+    @pytest.mark.parametrize("name", list(_AT_SIZE))
+    def test_negative_raises(self, name):
+        with pytest.raises(LgcpDesignError) as exc:
+            _AT_SIZE[name](-1)
+        assert str(exc.value) == "n must be >= 0"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_close_pairs_need_parents(self, n):
+        with pytest.raises(LgcpDesignError, match="need 0 < k < n"):
+            inhibitory_close_pairs(n, 1, 0.1)
+
+    def test_empty_rejection_design(self):
+        one = InclusionProbability.constant(1.0)
+        des = rejection_wrap("halton", one, 0)
+        assert des.n == 0 and des.provenance["accepted_proposals"] == []
+        # the base name is checked before the size
+        for n in (0, 3):
+            with pytest.raises(LgcpDesignError) as exc:
+                rejection_wrap("bogus", one, n)
+            assert str(exc.value) == "unknown base generator 'bogus'"
+
+
 class TestPredictionCount:
     """One posterior prediction per bulk inclusion-probability evaluation."""
 

@@ -622,6 +622,22 @@ class TestConditioning:
 
 
 class TestCompareDesigns:
+    def test_failed_prior_terms_fail_their_design(self, pois_model, grid, monkeypatch):
+        # the union's terms build; design b's own terms fail, and with them
+        # every one of its replicates, while design a's all succeed
+        designs = {"a": halton(10), "b": halton(8, offset=10)}
+        real = ev.lgcp.PriorTerms.at
+
+        def at(cls, model, points, terms=None):
+            if np.array_equal(points, designs["b"].points):
+                raise NumericalError("forced prior failure")
+            return real(model, points, terms)
+
+        monkeypatch.setattr(ev.lgcp.PriorTerms, "at", classmethod(at))
+        with pytest.raises(NumericalError) as exc:
+            compare_designs(pois_model, designs, ["kl"], grid, 5)
+        assert exc.value.failure_reasons == {"a": {}, "b": {"forced prior failure": 5}}
+
     def test_rows_and_reduction(self, pois_model, grid):
         designs = {"a": halton(15), "b": random_design(15, seed=2)}
         rows = compare_designs(

@@ -412,6 +412,19 @@ class TestFailureModes:
         with pytest.raises(NumericalError, match="non-finite iterates"):
             fit_lgcp(model, X, np.array([1e308, 1.0]))
 
+    def test_one_negative_variance_in_a_thousand_is_clamped(self):
+        var = np.linspace(0.1, 1.0, 1000)
+        var[3] = -1e-12
+        out = lgcp._clamp_variances(var)
+        assert out[3] == 0.0 and np.array_equal(np.delete(out, 3), np.delete(var, 3))
+
+    def test_two_negative_variances_in_a_thousand_raise(self):
+        var = np.linspace(0.1, 1.0, 1000)
+        var[[3, 7]] = -1e-12
+        with pytest.raises(NumericalError) as exc:
+            lgcp._clamp_variances(var)
+        assert str(exc.value) == "2 of 1000 predicted variances were negative"
+
 
 # ----------------------------------------------------------------------
 # reference: the Newton loop and prediction before the direct LAPACK calls
